@@ -174,11 +174,14 @@ class _RunRecorder:
             self.threshold_rows.append((event.samples_seen, "phase_transition", None, event.t2))
 
 
-def _write_verdicts(path: Path, recorder: _RunRecorder) -> None:
+def _composite_scores(recorder: _RunRecorder) -> np.ndarray:
     losses = np.array([r[1] for r in recorder.rows], dtype=float)
     routes = np.array([r[2] for r in recorder.rows], dtype=object)
     votes = np.array([r[6] for r in recorder.rows], dtype=float)
-    scores = metrics_mod.composite_scores(losses, routes, votes) if recorder.rows else []
+    return metrics_mod.composite_scores(losses, routes, votes)
+
+
+def _write_verdicts(path: Path, recorder: _RunRecorder, scores: np.ndarray) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(VERDICT_COLUMNS)
@@ -198,16 +201,12 @@ def _write_thresholds(path: Path, recorder: _RunRecorder) -> None:
             writer.writerow([samples_seen, event, _fmt_float(t1), _fmt_float(t2)])
 
 
-def _evaluate_slice(recorder: _RunRecorder, test_records) -> dict | None:
+def _evaluate_slice(recorder: _RunRecorder, scores: np.ndarray, test_records) -> dict | None:
     truth_by_index = {
         r.index: r.truth for r in test_records if r.truth is not None
     }
     if not truth_by_index:
         return None
-    losses = np.array([r[1] for r in recorder.rows], dtype=float)
-    routes = np.array([r[2] for r in recorder.rows], dtype=object)
-    votes = np.array([r[6] for r in recorder.rows], dtype=float)
-    scores = metrics_mod.composite_scores(losses, routes, votes)
     predicted, truth, slice_scores = [], [], []
     for row, score in zip(recorder.rows, scores):
         if row[0] in truth_by_index:
@@ -265,9 +264,7 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         adapt_scorer = False
     elif mode == "offline":
         scorer = LstmVaeScorer(scorer_cfg)
-        offline_windows = list(
-            ingest.windows(first_n + train_n, scorer_cfg.timestep)
-        )
+        offline_windows = ingest.windows(first_n + train_n, scorer_cfg.timestep)
         logger.info("offline pretraining on %d windows", len(offline_windows))
         scorer.train(offline_windows, scorer_cfg.epochs_initial)
         pretrained = True
@@ -292,7 +289,8 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         detector.maybe_retrain()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_verdicts(out_dir / "verdicts.csv", recorder)
+    scores = _composite_scores(recorder)
+    _write_verdicts(out_dir / "verdicts.csv", recorder, scores)
     _write_thresholds(out_dir / "thresholds.csv", recorder)
     if hasattr(detector.scorer, "save"):
         detector.scorer.save(out_dir / "scorer.npz")
@@ -303,7 +301,7 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         encoding="utf-8",
     )
 
-    report = _evaluate_slice(recorder, test_n)
+    report = _evaluate_slice(recorder, scores, test_n)
     if report is not None:
         (out_dir / "metrics.txt").write_text(
             metrics_mod.report_text(report), encoding="utf-8"
@@ -466,7 +464,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--mode", default="adaptive", help=f"one of {', '.join(MODES)}")
     run.add_argument("--csv", help="feature CSV path (overrides config source)")
     run.add_argument("--schema", dest="schema", help="schema JSON for --csv")
-    run.add_argument("--dataset-schema", dest="schema", help=argparse.SUPPRESS)
     run.add_argument("--synthetic", action="store_true",
                      help="use the synthetic generator from the config")
     run.set_defaults(func=_cmd_run)

@@ -26,12 +26,14 @@ from .errors import (
     DegenerateTrainingSetError,
     EmptyBufferError,
     InsufficientDataError,
+    NonFiniteError,
     NotBootstrappedError,
+    ShapeMismatchError,
 )
 from .forest import ForestConfig, RandomForest, fit_forest, predict
 from .ingest import StreamRecord, windows as make_windows
 from .labels import Label
-from .scorer import LstmVaeScorer, ScorerConfig, SequenceWindow
+from .scorer import LstmVaeScorer, ScorerConfig
 from .thresholds import ThresholdPair, adaptive_threshold
 
 logger = logging.getLogger(__name__)
@@ -175,7 +177,7 @@ class OnlineAnomalyDetector:
         self.retrains_done = 0
 
         self._window_tail: deque[np.ndarray] = deque(maxlen=config.scorer.timestep)
-        self._batch: list[tuple[StreamRecord, float]] = []
+        self._pending_count = 0  # records processed since the last retrain
         self._pending_normal_windows: list[np.ndarray] = []
         self._pending_features: list[np.ndarray] = []
         self._pending_labels: list[Label] = []
@@ -198,7 +200,7 @@ class OnlineAnomalyDetector:
         seed the normal buffer.
         """
         t = self.config.scorer.timestep
-        first_windows = list(make_windows(first_round, t))
+        first_windows = make_windows(first_round, t)
         if len(first_windows) < 2:
             raise InsufficientDataError(
                 f"first round yields {len(first_windows)} windows, need at least 2"
@@ -221,53 +223,48 @@ class OnlineAnomalyDetector:
 
     # -------------------------------------------------------------- routing
 
-    def _current_window(self, record: StreamRecord) -> np.ndarray:
-        self._window_tail.append(np.asarray(record.features, dtype=float))
-        return np.stack(self._window_tail)
-
     def process(self, record: StreamRecord) -> Verdict:
-        """Score, route and pseudo-label one record."""
+        """Score, route and pseudo-label one record.
+
+        A record of the wrong width or with a non-finite feature is rejected
+        before any state changes.
+        """
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
-        rows = self._current_window(record)
-        loss = self.scorer.score(SequenceWindow(rows=rows, end_index=record.index))
-        self._batch.append((record, loss))
+        features = np.asarray(record.features, dtype=float)
+        width = self.config.scorer.n_features
+        if features.shape != (width,):
+            raise ShapeMismatchError(f"record shape {features.shape}, expected {(width,)}")
+        if not np.isfinite(features).all():
+            raise NonFiniteError(f"record {record.index} has a non-finite feature")
+        self._window_tail.append(features)
+        window = np.stack(self._window_tail)
+        loss = self.scorer.score(window)
         t = self.thresholds
 
-        if self.phase is Phase.INITIAL:
-            if loss < t.t1:
-                verdict = Verdict(Label.NORMAL, Route.HIGH_CONF_NORMAL, loss)
-                self.normal_losses.append(loss)
-                self._pending_normal_windows.append(rows)
-            else:
-                verdict = Verdict(Label.ABNORMAL, Route.HIGH_CONF_ABNORMAL, loss)
-                self.abnormal_losses.append(loss)
-            self._pending_features.append(record.features)
-            self._pending_labels.append(verdict.label)
+        # t2 is None exactly in the single-threshold phase
+        if loss < t.t1:
+            verdict = Verdict(Label.NORMAL, Route.HIGH_CONF_NORMAL, loss)
+            self.normal_losses.append(loss)
+        elif t.t2 is None or loss > t.t2:
+            verdict = Verdict(Label.ABNORMAL, Route.HIGH_CONF_ABNORMAL, loss)
+            self.abnormal_losses.append(loss)
         else:
-            if loss < t.t1:
-                verdict = Verdict(Label.NORMAL, Route.HIGH_CONF_NORMAL, loss)
-                self.normal_losses.append(loss)
-                self._pending_normal_windows.append(rows)
-                self._pending_features.append(record.features)
-                self._pending_labels.append(Label.NORMAL)
-            elif loss > t.t2:
-                verdict = Verdict(Label.ABNORMAL, Route.HIGH_CONF_ABNORMAL, loss)
-                self.abnormal_losses.append(loss)
-                self._pending_features.append(record.features)
-                self._pending_labels.append(Label.ABNORMAL)
+            if self.forest is not None:
+                label, votes = predict(self.forest, features)
             else:
-                if self.forest is not None:
-                    label, votes = predict(self.forest, record.features)
-                else:
-                    # cold start before the first steady retrain: midpoint rule
-                    midpoint = 0.5 * (t.t1 + t.t2)
-                    label = Label.NORMAL if loss <= midpoint else Label.ABNORMAL
-                    votes = None
-                verdict = Verdict(label, Route.CLASSIFIER, loss, votes)
-                if label is Label.NORMAL:
-                    self._pending_normal_windows.append(rows)
+                # cold start before the first steady retrain: midpoint rule
+                midpoint = 0.5 * (t.t1 + t.t2)
+                label = Label.NORMAL if loss <= midpoint else Label.ABNORMAL
+                votes = None
+            verdict = Verdict(label, Route.CLASSIFIER, loss, votes)
+        if verdict.route is not Route.CLASSIFIER:
+            self._pending_features.append(features)
+            self._pending_labels.append(verdict.label)
+        if verdict.label is Label.NORMAL:
+            self._pending_normal_windows.append(window)
 
+        self._pending_count += 1
         self.samples_seen += 1
         self._emit(VerdictEvent(record.index, verdict, t.t1, t.t2))
         self.phase_transition()
@@ -309,7 +306,7 @@ class OnlineAnomalyDetector:
 
     def maybe_retrain(self) -> RetrainReport | None:
         """Recompute thresholds and retrain both models every full batch."""
-        if len(self._batch) < self.config.update_interval:
+        if self._pending_count < self.config.update_interval:
             return None
         t = self.thresholds
         notes: list[str] = []
@@ -341,11 +338,7 @@ class OnlineAnomalyDetector:
         scorer_windows = len(self._pending_normal_windows)
         if self.adapt_scorer:
             if scorer_windows:
-                wins = [
-                    SequenceWindow(rows=r, end_index=-1)
-                    for r in self._pending_normal_windows
-                ]
-                self.scorer.train(wins, self.config.scorer.epochs_update)
+                self.scorer.train(self._pending_normal_windows, self.config.scorer.epochs_update)
             else:
                 logger.warning("no pseudo-normal windows this batch; scorer not updated")
                 notes.append("scorer_skipped")
@@ -368,7 +361,7 @@ class OnlineAnomalyDetector:
         self._pending_normal_windows.clear()
         self._pending_features.clear()
         self._pending_labels.clear()
-        self._batch.clear()
+        self._pending_count = 0
         self.retrains_done += 1
         report = RetrainReport(
             index=self.retrains_done,

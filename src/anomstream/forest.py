@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -22,14 +21,6 @@ from .labels import Label
 _CHECKPOINT_VERSION = 1
 _NO_CHILD = -1
 _LEAF_FEATURE = -1
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One pseudo-labeled feature vector."""
-
-    features: np.ndarray
-    label: Label
 
 
 @dataclass
@@ -90,16 +81,6 @@ class DecisionTree:
         counts = self.counts[self.leaf_index(np.asarray(features, dtype=float))]
         # Equal leaf counts resolve to abnormal, matching the forest tie rule.
         return Label.ABNORMAL if counts[1] >= counts[0] else Label.NORMAL
-
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=int)
-        best = 0
-        for i in range(self.n_nodes):
-            if self.feature[i] != _LEAF_FEATURE:
-                for child in (self.left[i], self.right[i]):
-                    depths[child] = depths[i] + 1
-                    best = max(best, depths[child])
-        return best
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
@@ -206,12 +187,6 @@ class RandomForest:
         return len(self.trees)
 
 
-def stack_samples(samples: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray([s.features for s in samples], dtype=float)
-    y = np.asarray([int(s.label) for s in samples], dtype=np.int64)
-    return x, y
-
-
 def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
                seed: int | np.random.SeedSequence = 0) -> RandomForest:
     """Fit ``n_estimators`` trees on bootstrap resamples.
@@ -222,14 +197,15 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
     config = config or ForestConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError(f"bad training shapes {x.shape} / {y.shape}")
     present = np.unique(y)
+    # before the shape check: an empty batch arrives with x of shape (0,)
     if present.size < 2:
         raise DegenerateTrainingSetError(
             "training set must contain both classes, got only "
             + (Label(int(present[0])).display if present.size else "nothing")
         )
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"bad training shapes {x.shape} / {y.shape}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seed_value = seed if isinstance(seed, int) else -1
     n = x.shape[0]

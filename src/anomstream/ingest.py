@@ -12,9 +12,10 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllFeaturesConstantError,
@@ -23,7 +24,6 @@ from .errors import (
     SchemaMismatchError,
 )
 from .labels import Label
-from .scorer import SequenceWindow
 
 logger = logging.getLogger(__name__)
 
@@ -194,20 +194,19 @@ def normalize_records(
     ]
 
 
-def windows(records: Sequence[FeatureRecord | StreamRecord], timestep: int) -> Iterator[SequenceWindow]:
-    """Sliding windows of length ``timestep`` with stride one.
+def windows(records: Sequence[FeatureRecord | StreamRecord], timestep: int) -> np.ndarray:
+    """Sliding windows of length ``timestep`` with stride one, as an (N, T, D) array.
 
     The first timestep - 1 records yield nothing; every later record yields
     exactly one window ending at it, so n records give max(0, n - T + 1)
-    windows.
+    windows. The result is a read-only view of the stacked feature rows.
     """
     if timestep < 1:
         raise ValueError("timestep must be >= 1")
-    for end in range(timestep - 1, len(records)):
-        rows = np.stack(
-            [records[i].features for i in range(end - timestep + 1, end + 1)]
-        )
-        yield SequenceWindow(rows=rows, end_index=records[end].index)
+    rows = np.asarray([r.features for r in records], dtype=float)
+    if rows.shape[0] < timestep:
+        return np.empty((0, timestep, *rows.shape[1:]))
+    return sliding_window_view(rows, timestep, axis=0).transpose(0, 2, 1)
 
 
 @dataclass

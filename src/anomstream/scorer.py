@@ -65,14 +65,6 @@ class ScorerConfig:
             raise ValueError("hidden_size and latent_size must be >= 1")
 
 
-@dataclass(eq=False)
-class SequenceWindow:
-    """T consecutive feature rows ending at stream position ``end_index``."""
-
-    rows: np.ndarray
-    end_index: int
-
-
 @dataclass(frozen=True)
 class LossValue:
     """Scorer loss split into its reconstruction and KL components."""
@@ -130,30 +122,36 @@ class LstmVaeScorer:
         return sum(v.size for v in self.params.values())
 
     def _window_rows(self, window) -> np.ndarray:
-        rows = window.rows if isinstance(window, SequenceWindow) else window
-        rows = np.asarray(rows, dtype=float)
+        rows = np.asarray(window, dtype=float)
         t, d = self.config.timestep, self.config.n_features
         if rows.shape != (t, d):
             raise ShapeMismatchError(f"window shape {rows.shape}, expected {(t, d)}")
         return rows
 
-    def _stack(self, windows: Sequence) -> np.ndarray:
-        if len(windows) == 0:
-            raise ValueError("need at least one window")
-        return np.stack([self._window_rows(w) for w in windows])
+    def _stack(self, windows) -> np.ndarray:
+        """The (N, T, D) batch of ``windows`` as one C-contiguous array."""
+        x = np.ascontiguousarray(windows, dtype=float)
+        t, d = self.config.timestep, self.config.n_features
+        if x.ndim != 3 or x.shape[0] == 0 or x.shape[1:] != (t, d):
+            raise ShapeMismatchError(f"window batch shape {x.shape}, expected (N, {t}, {d})")
+        return x
 
     # --------------------------------------------------------------- forward
 
-    def _encode_batch(self, x: np.ndarray, need_cache: bool = True):
-        b, t, _ = x.shape
+    def _lstm(self, xw: np.ndarray, wh: np.ndarray, need_cache: bool):
+        """One LSTM layer over ``xw``, the (T, B, 4H) input projections plus bias.
+
+        Returns the (T, B, H) hidden states and, with ``need_cache``, the
+        per-step gate values that ``_lstm_backward`` consumes.
+        """
+        t, b, _ = xw.shape
         h_n = self.config.hidden_size
-        p = self.params
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
+        hs = np.empty((t, b, h_n))
         steps = [] if need_cache else None
-        x_wx = np.einsum("btd,gd->btg", x, p["enc_wx"]) + p["enc_b"]
-        for step in range(t):
-            a = x_wx[:, step] + h @ p["enc_wh"].T
+        for xw_t, h_out in zip(xw, hs):
+            a = xw_t + h @ wh.T
             gi = _sigmoid(a[:, :h_n])
             gf = _sigmoid(a[:, h_n : 2 * h_n])
             gg = np.tanh(a[:, 2 * h_n : 3 * h_n])
@@ -161,35 +159,25 @@ class LstmVaeScorer:
             c_prev, h_prev = c, h
             c = gf * c_prev + gi * gg
             tc = np.tanh(c)
-            h = go * tc
+            h = np.multiply(go, tc, out=h_out)
             if need_cache:
                 steps.append((gi, gf, gg, go, c_prev, h_prev, tc))
+        return hs, steps
+
+    def _encode_batch(self, x: np.ndarray, need_cache: bool = True):
+        p = self.params
+        x_wx = np.einsum("btd,gd->btg", x, p["enc_wx"]) + p["enc_b"]
+        hs, steps = self._lstm(x_wx.transpose(1, 0, 2), p["enc_wh"], need_cache)
+        h = hs[-1]
         mu = h @ p["mu_w"].T + p["mu_b"]
         logvar = h @ p["logvar_w"].T + p["logvar_b"]
         return mu, logvar, h, steps
 
     def _decode_batch(self, z: np.ndarray, t: int, need_cache: bool = True):
-        b = z.shape[0]
-        h_n = self.config.hidden_size
         p = self.params
-        h = np.zeros((b, h_n))
-        c = np.zeros((b, h_n))
-        steps = [] if need_cache else None
-        hs = np.empty((t, b, h_n))
         z_wx = z @ p["dec_wx"].T + p["dec_b"]
-        for step in range(t):
-            a = z_wx + h @ p["dec_wh"].T
-            gi = _sigmoid(a[:, :h_n])
-            gf = _sigmoid(a[:, h_n : 2 * h_n])
-            gg = np.tanh(a[:, 2 * h_n : 3 * h_n])
-            go = _sigmoid(a[:, 3 * h_n :])
-            c_prev, h_prev = c, h
-            c = gf * c_prev + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            hs[step] = h
-            if need_cache:
-                steps.append((gi, gf, gg, go, c_prev, h_prev, tc))
+        # the latent is the decoder's input at every step
+        hs, steps = self._lstm(np.broadcast_to(z_wx, (t, *z_wx.shape)), p["dec_wh"], need_cache)
         xhat = np.einsum("tbh,dh->btd", hs, p["out_w"]) + p["out_b"]
         return xhat, hs, steps
 
@@ -212,7 +200,7 @@ class LstmVaeScorer:
 
     def _losses_batch(self, x: np.ndarray, noise: np.ndarray, need_cache: bool = True):
         mu, logvar, h_enc, enc_steps = self._encode_batch(x, need_cache)
-        z = mu + np.exp(0.5 * logvar) * noise
+        z = reparameterize(mu, logvar, noise)
         xhat, h_dec, dec_steps = self._decode_batch(z, x.shape[1], need_cache)
         diff = xhat - x
         recon = np.sum(diff * diff, axis=(1, 2))
@@ -259,25 +247,27 @@ class LstmVaeScorer:
 
     # -------------------------------------------------------------- backward
 
-    def _grads_batch(self, x: np.ndarray, cache, weight: float):
-        """Gradients of weight * sum_b total_b for the cached forward pass."""
-        mu, logvar, z, _, diff, h_enc, enc_steps, h_dec, dec_steps = cache
-        h_n = self.config.hidden_size
+    def _lstm_backward(self, grads, layer: str, x: np.ndarray, steps,
+                       dh_steps: np.ndarray | None, dh_last: np.ndarray,
+                       need_dx: bool = False):
+        """Backpropagate through one LSTM layer run by ``_lstm``.
+
+        ``x`` holds the layer's time-major (T, B, In) inputs, ``dh_steps``
+        the (T, B, H) upstream gradient on each step's hidden state (None
+        when only the last state feeds on) and ``dh_last`` the gradient on
+        the final hidden state. The ``layer``'s weight gradients are added
+        into ``grads``; with ``need_dx`` the input gradient summed over the
+        steps is returned.
+        """
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        t = x.shape[1]
-
-        dxhat = (2.0 * weight) * diff  # (B,T,D)
-        grads["out_w"] = np.einsum("btd,tbh->dh", dxhat, h_dec)
-        grads["out_b"] = dxhat.sum(axis=(0, 1))
-        dh_ext = dxhat @ p["out_w"]  # (B,T,H)
-
-        dz = np.zeros_like(z)
-        dh_rec = np.zeros((x.shape[0], h_n))
-        dc_rec = np.zeros((x.shape[0], h_n))
-        for step in range(t - 1, -1, -1):
-            gi, gf, gg, go, c_prev, h_prev, tc = dec_steps[step]
-            dh = dh_ext[:, step] + dh_rec
+        wx, wh = p[f"{layer}_wx"], p[f"{layer}_wh"]
+        g_wx, g_wh, g_b = grads[f"{layer}_wx"], grads[f"{layer}_wh"], grads[f"{layer}_b"]
+        dx = np.zeros(x.shape[1:]) if need_dx else None
+        dh_rec = dh_last
+        dc_rec = np.zeros_like(dh_last)
+        for step in range(len(steps) - 1, -1, -1):
+            gi, gf, gg, go, c_prev, h_prev, tc = steps[step]
+            dh = dh_rec if dh_steps is None else dh_steps[step] + dh_rec
             do = dh * tc
             dc = dc_rec + dh * go * (1.0 - tc * tc)
             da = np.concatenate(
@@ -289,12 +279,31 @@ class LstmVaeScorer:
                 ],
                 axis=1,
             )
-            grads["dec_wx"] += da.T @ z
-            grads["dec_wh"] += da.T @ h_prev
-            grads["dec_b"] += da.sum(axis=0)
-            dz += da @ p["dec_wx"]
-            dh_rec = da @ p["dec_wh"]
+            g_wx += da.T @ x[step]
+            g_wh += da.T @ h_prev
+            g_b += da.sum(axis=0)
+            if need_dx:
+                dx += da @ wx
+            dh_rec = da @ wh
             dc_rec = dc * gf
+        return dx
+
+    def _grads_batch(self, x: np.ndarray, cache, weight: float):
+        """Gradients of weight * sum_b total_b for the cached forward pass."""
+        mu, logvar, z, _, diff, h_enc, enc_steps, h_dec, dec_steps = cache
+        p = self.params
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+
+        dxhat = (2.0 * weight) * diff  # (B,T,D)
+        grads["out_w"] = np.einsum("btd,tbh->dh", dxhat, h_dec)
+        grads["out_b"] = dxhat.sum(axis=(0, 1))
+        dh_ext = dxhat @ p["out_w"]  # (B,T,H)
+        # the decoder reads z at every step, so dz sums over the steps
+        z_steps = np.broadcast_to(z, (x.shape[1], *z.shape))
+        no_dh = np.zeros((x.shape[0], self.config.hidden_size))
+        dz = self._lstm_backward(
+            grads, "dec", z_steps, dec_steps, dh_ext.transpose(1, 0, 2), no_dh, need_dx=True
+        )
 
         # KL gradients plus the reparameterization path from dz.
         std = np.exp(0.5 * logvar)
@@ -307,27 +316,8 @@ class LstmVaeScorer:
         grads["logvar_w"] = dlogvar.T @ h_enc
         grads["logvar_b"] = dlogvar.sum(axis=0)
 
-        dh_rec = dmu @ p["mu_w"] + dlogvar @ p["logvar_w"]
-        dc_rec = np.zeros((x.shape[0], h_n))
-        for step in range(t - 1, -1, -1):
-            gi, gf, gg, go, c_prev, h_prev, tc = enc_steps[step]
-            dh = dh_rec
-            do = dh * tc
-            dc = dc_rec + dh * go * (1.0 - tc * tc)
-            da = np.concatenate(
-                [
-                    dc * gg * gi * (1.0 - gi),
-                    dc * c_prev * gf * (1.0 - gf),
-                    dc * gi * (1.0 - gg * gg),
-                    do * go * (1.0 - go),
-                ],
-                axis=1,
-            )
-            grads["enc_wx"] += da.T @ x[:, step]
-            grads["enc_wh"] += da.T @ h_prev
-            grads["enc_b"] += da.sum(axis=0)
-            dh_rec = da @ p["enc_wh"]
-            dc_rec = dc * gf
+        dh_enc = dmu @ p["mu_w"] + dlogvar @ p["logvar_w"]
+        self._lstm_backward(grads, "enc", x.transpose(1, 0, 2), enc_steps, None, dh_enc)
         return grads
 
     def loss_and_gradients(self, window, noise: np.ndarray | None = None):
@@ -379,10 +369,6 @@ class LstmVaeScorer:
                         cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.adam_eps)
                     )
         return self
-
-    def mean_loss(self, windows: Sequence) -> float:
-        """Mean deterministic loss over a set of windows."""
-        return float(np.mean(self.score_many(windows)))
 
     # ------------------------------------------------------------ checkpoint
 

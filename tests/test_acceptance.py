@@ -228,7 +228,7 @@ class _StubScorer:
     """Loss equals the first feature of the window's last row."""
 
     def score(self, window):
-        return float(window.rows[-1][0])
+        return float(window[-1][0])
 
     def score_many(self, windows):
         return np.array([self.score(w) for w in windows])

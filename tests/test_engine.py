@@ -13,7 +13,12 @@ from anomstream.engine import (
     Route,
     VerdictEvent,
 )
-from anomstream.errors import InsufficientDataError, NotBootstrappedError
+from anomstream.errors import (
+    InsufficientDataError,
+    NonFiniteError,
+    NotBootstrappedError,
+    ShapeMismatchError,
+)
 from anomstream.forest import ForestConfig
 from anomstream.ingest import StreamRecord, SyntheticConfig, synthetic_stream
 from anomstream.labels import Label
@@ -31,7 +36,7 @@ class StubScorer:
         self.train_calls = []
 
     def score(self, window):
-        return float(window.rows[-1][0])
+        return float(window[-1][0])
 
     def score_many(self, windows):
         return np.array([self.score(w) for w in windows])
@@ -311,6 +316,73 @@ class TestRetraining:
         assert engine.phase is Phase.INITIAL
         assert engine.thresholds.t2 is None
 
+    def test_batch_without_high_confidence_records_keeps_forest(self):
+        # a steady batch routed wholly to the classifier leaves the forest
+        # no training rows: the fit is skipped, not a crash
+        engine = stub_engine(
+            bootstrap_losses(np.random.default_rng(3)), warmup=5, interval=10,
+        )
+        t1 = engine.thresholds.t1
+        first = t1 * np.concatenate([2.0 + 0.5 * np.arange(5.0), 0.5 * np.ones(5)])
+        for i, record in enumerate(records_from_losses(first, start_index=100)):
+            engine.process(record)
+            assert (engine.maybe_retrain() is None) == (i < 9)
+        forest = engine.forest
+        assert forest is not None
+        t = engine.thresholds
+        assert t.t2 > t.t1
+        mid = 0.5 * (t.t1 + t.t2)
+        for record in records_from_losses([mid] * 10, start_index=200):
+            assert engine.process(record).route is Route.CLASSIFIER
+        report = engine.maybe_retrain()
+        assert report.forest_samples == 0
+        assert not report.forest_trained
+        assert "forest_skipped" in report.notes
+        assert engine.forest is forest
+
+
+class TestRejectedRecords:
+    def test_bad_record_changes_no_state(self):
+        # real scorer, T=4: a rejected row must not enter the window tail,
+        # so the records after it get the verdicts they get without it
+        records = synthetic_stream(
+            SyntheticConfig(n_records=90, n_features=3, anomaly_rate=0.1), seed=4
+        )
+
+        def fresh():
+            config = EngineConfig(
+                scorer=ScorerConfig(
+                    timestep=4, n_features=3, hidden_size=4, latent_size=2,
+                    epochs_initial=2, seed=1,
+                ),
+                abnormal_warmup=5,
+                update_interval=1000,
+                seed=1,
+            )
+            engine = OnlineAnomalyDetector(config)
+            engine.bootstrap([r.to_stream() for r in records[:40]])
+            return engine
+
+        bad = [
+            (NonFiniteError, [np.nan, 10.0, 10.0]),
+            (NonFiniteError, [10.0, np.inf, 10.0]),
+            (ShapeMismatchError, [10.0, 10.0]),
+            (ShapeMismatchError, [10.0, 10.0, 10.0, 10.0]),
+        ]
+        clean, dirty = fresh(), fresh()
+        clean_verdicts, dirty_verdicts = [], []
+        for pos, r in enumerate(records[40:]):
+            if pos % 10 == 5:
+                error, features = bad[(pos // 10) % len(bad)]
+                with pytest.raises(error):
+                    dirty.process(StreamRecord(index=-1, features=np.array(features)))
+            clean_verdicts.append(clean.process(r.to_stream()))
+            dirty_verdicts.append(dirty.process(r.to_stream()))
+        assert dirty_verdicts == clean_verdicts
+        assert dirty.samples_seen == clean.samples_seen == 50
+        assert np.array_equal(dirty.normal_losses.values(), clean.normal_losses.values())
+        assert np.array_equal(dirty.abnormal_losses.values(), clean.abnormal_losses.values())
+
 
 class TestEventsAndDeterminism:
     def test_sink_receives_all_event_kinds(self):
@@ -387,7 +459,7 @@ class TestThresholdTrajectory:
             else:
                 loss = float(np.exp(rng.normal(0.0, 0.4)))
             engine.process(records_from_losses([loss], start_index=500 + i)[0])
-            if len(engine._batch) == engine.config.update_interval:
+            if engine.samples_seen % engine.config.update_interval == 0:
                 normal_snapshot = engine.normal_losses.values()
                 abnormal_snapshot = engine.abnormal_losses.values()
                 report = engine.maybe_retrain()

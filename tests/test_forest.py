@@ -7,7 +7,6 @@ from anomstream.errors import DegenerateTrainingSetError, EmptyNodeError
 from anomstream.forest import (
     DecisionTree,
     ForestConfig,
-    LabeledSample,
     build_tree,
     feature_importances,
     fit_forest,
@@ -15,7 +14,6 @@ from anomstream.forest import (
     load_forest,
     predict,
     save_forest,
-    stack_samples,
     vote_fraction,
 )
 from anomstream.labels import Label
@@ -51,6 +49,15 @@ def tree_node_subsets(tree: DecisionTree, x: np.ndarray):
     return subsets
 
 
+def tree_depth(tree: DecisionTree) -> int:
+    """Longest root-to-leaf path, read from the node arrays (children follow parents)."""
+    depth = np.zeros(tree.n_nodes, dtype=int)
+    for node in range(tree.n_nodes):
+        if tree.feature[node] != -1:
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return int(depth.max())
+
+
 class TestGini:
     def test_pure(self):
         assert gini((10, 0)) == 0.0
@@ -79,7 +86,7 @@ class TestBuildTree:
         y = np.array([0, 1])
         tree = build_tree(x, y, np.random.default_rng(0), ForestConfig(max_features="all"))
         assert tree.n_nodes == 3
-        assert tree.depth() == 1
+        assert tree_depth(tree) == 1
         assert tree.predict(np.array([0.0])) is Label.NORMAL
         assert tree.predict(np.array([1.0])) is Label.ABNORMAL
 
@@ -116,7 +123,7 @@ class TestBuildTree:
                 x, y, np.random.default_rng(0),
                 ForestConfig(max_depth=depth, max_features="all"),
             )
-            assert tree.depth() <= depth
+            assert tree_depth(tree) <= depth
 
 
 class TestFitForest:
@@ -158,15 +165,9 @@ class TestFitForest:
         y = np.zeros(10, dtype=int)
         with pytest.raises(DegenerateTrainingSetError):
             fit_forest(x, y, ForestConfig(n_estimators=2), seed=0)
-
-    def test_stack_samples(self):
-        samples = [
-            LabeledSample(np.array([1.0, 2.0]), Label.NORMAL),
-            LabeledSample(np.array([3.0, 4.0]), Label.ABNORMAL),
-        ]
-        x, y = stack_samples(samples)
-        assert x.shape == (2, 2)
-        assert y.tolist() == [0, 1]
+        # an empty batch, as the engine passes it, is degenerate too
+        with pytest.raises(DegenerateTrainingSetError, match="nothing"):
+            fit_forest(np.asarray([]), np.asarray([]), ForestConfig(n_estimators=2), seed=0)
 
 
 class TestPredict:

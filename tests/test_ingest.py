@@ -140,13 +140,14 @@ class TestWindows:
         records = make_records(np.arange(10).reshape(5, 2))
         wins = list(windows(records, 1))
         assert len(wins) == 5
-        assert wins[2].rows.shape == (1, 2)
+        assert wins[2].shape == (1, 2)
 
     def test_window_contents_and_end_index(self):
         records = make_records(np.arange(12).reshape(6, 2))
         wins = list(windows(records, 3))
-        assert wins[0].rows.tolist() == [[0, 1], [2, 3], [4, 5]]
-        assert wins[-1].end_index == 5
+        assert wins[0].tolist() == [[0, 1], [2, 3], [4, 5]]
+        # the last window ends at the last record (index 5)
+        assert wins[-1][-1].tolist() == records[5].features.tolist()
 
     @given(st.integers(0, 40), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)

@@ -239,9 +239,9 @@ class TestTraining:
             rng = np.random.default_rng(300 + seed)
             windows = [rng.uniform(0.0, 1.0, size=(3, 2)) for _ in range(24)]
             s = toy_scorer(seed=seed, batch_size=8)
-            start = s.mean_loss(windows)
+            start = s.score_many(windows).mean()
             s.train(windows, epochs=30)
-            improved += s.mean_loss(windows) <= start
+            improved += s.score_many(windows).mean() <= start
         assert improved >= 9
 
     def test_training_deterministic_per_seed(self):
