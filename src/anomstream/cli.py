@@ -254,7 +254,6 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
 
     recorder = _RunRecorder()
     scorer = None
-    pretrained = False
     adapt_thresholds = adapt_scorer = two_layer = True
     if mode == "fixed-threshold":
         adapt_thresholds = False
@@ -267,13 +266,11 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         offline_windows = ingest.windows(first_n + train_n, scorer_cfg.timestep)
         logger.info("offline pretraining on %d windows", len(offline_windows))
         scorer.train(offline_windows, scorer_cfg.epochs_initial)
-        pretrained = True
         adapt_scorer = False
 
     detector = engine_mod.OnlineAnomalyDetector(
         engine_cfg,
         scorer=scorer,
-        pretrained=pretrained,
         adapt_thresholds=adapt_thresholds,
         adapt_scorer=adapt_scorer,
         two_layer=two_layer,

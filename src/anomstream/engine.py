@@ -144,9 +144,11 @@ class OnlineAnomalyDetector:
     """Two-layer online detector with self-adapting thresholds.
 
     ``scorer`` may be any object with the LstmVaeScorer scoring/training
-    surface (used by tests to fuzz the state machine with a cheap stub).
-    The adapt_* switches implement the ablation modes: frozen thresholds,
-    frozen scorer, or single-threshold operation without the classifier.
+    surface (used by tests to fuzz the state machine with a cheap stub). A
+    scorer passed in counts as pretrained: ``bootstrap`` trains only the
+    scorer the engine builds itself. The adapt_* switches implement the
+    ablation modes: frozen thresholds, frozen scorer, or single-threshold
+    operation without the classifier.
     """
 
     def __init__(
@@ -154,21 +156,19 @@ class OnlineAnomalyDetector:
         config: EngineConfig,
         scorer=None,
         *,
-        pretrained: bool = False,
         adapt_thresholds: bool = True,
         adapt_scorer: bool = True,
         two_layer: bool = True,
         sink: Callable[[EngineEvent], None] | None = None,
     ):
         self.config = config
+        self._pretrained = scorer is not None
         self.scorer = scorer if scorer is not None else LstmVaeScorer(config.scorer)
-        self._pretrained = pretrained
         self.adapt_thresholds = adapt_thresholds
         self.adapt_scorer = adapt_scorer
         self.two_layer = two_layer
         self._sink = sink
 
-        self.phase = Phase.INITIAL
         self.normal_losses = LossBuffer(config.buffer_capacity)
         self.abnormal_losses = LossBuffer(config.buffer_capacity)
         self.thresholds: ThresholdPair | None = None
@@ -189,6 +189,13 @@ class OnlineAnomalyDetector:
     def bootstrapped(self) -> bool:
         return self.thresholds is not None
 
+    @property
+    def phase(self) -> Phase:
+        """STEADY once T2 is set (dual thresholds), INITIAL before."""
+        if self.thresholds is None or self.thresholds.t2 is None:
+            return Phase.INITIAL
+        return Phase.STEADY
+
     def _emit(self, event: EngineEvent) -> None:
         if self._sink is not None:
             self._sink(event)
@@ -197,8 +204,10 @@ class OnlineAnomalyDetector:
         """Train the scorer on the first-round slice and fit the initial T1.
 
         The slice is treated entirely as pseudo-normal; its window losses
-        seed the normal buffer.
+        seed the normal buffer. A record of the wrong width or with a
+        non-finite feature is rejected before any state or scorer changes.
         """
+        features = [self._checked_features(record) for record in first_round]
         t = self.config.scorer.timestep
         first_windows = make_windows(first_round, t)
         if len(first_windows) < 2:
@@ -215,13 +224,20 @@ class OnlineAnomalyDetector:
             raise InsufficientDataError(
                 f"first-round losses are degenerate: {exc}"
             ) from exc
-        self.thresholds = ThresholdPair(
-            t1=t1, t2=None, p1=self.config.p1, p2=self.config.p2, fit_normal=fit
-        )
-        for record in first_round[-t:]:
-            self._window_tail.append(np.asarray(record.features, dtype=float))
+        self._install(t1, fit, None, None)
+        self._window_tail.extend(features[-t:])
 
     # -------------------------------------------------------------- routing
+
+    def _checked_features(self, record: StreamRecord) -> np.ndarray:
+        """The record's features; raises on a wrong width or a non-finite value."""
+        features = np.asarray(record.features, dtype=float)
+        width = self.config.scorer.n_features
+        if features.shape != (width,):
+            raise ShapeMismatchError(f"record shape {features.shape}, expected {(width,)}")
+        if not np.isfinite(features).all():
+            raise NonFiniteError(f"record {record.index} has a non-finite feature")
+        return features
 
     def process(self, record: StreamRecord) -> Verdict:
         """Score, route and pseudo-label one record.
@@ -231,12 +247,7 @@ class OnlineAnomalyDetector:
         """
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
-        features = np.asarray(record.features, dtype=float)
-        width = self.config.scorer.n_features
-        if features.shape != (width,):
-            raise ShapeMismatchError(f"record shape {features.shape}, expected {(width,)}")
-        if not np.isfinite(features).all():
-            raise NonFiniteError(f"record {record.index} has a non-finite feature")
+        features = self._checked_features(record)
         self._window_tail.append(features)
         window = np.stack(self._window_tail)
         loss = self.scorer.score(window)
@@ -273,36 +284,39 @@ class OnlineAnomalyDetector:
     def phase_transition(self) -> bool:
         """Switch to dual-threshold operation once abnormal losses suffice.
 
-        Flips at most once, computing the initial T2 at that moment. With
-        ``two_layer`` disabled the engine stays single-threshold forever.
+        Flips at most once, computing the initial T2 at that moment; if the
+        abnormal losses cannot be fitted, T2 <- T1. With ``two_layer``
+        disabled the engine stays single-threshold forever.
         """
         if not self.two_layer or self.phase is not Phase.INITIAL:
             return False
         if len(self.abnormal_losses) < self.config.abnormal_warmup:
             return False
-        self.phase = Phase.STEADY
         t = self.thresholds
-        try:
-            t2, fit_abn = adaptive_threshold(self.abnormal_losses.values(), self.config.p2)
-        except DegenerateSampleError:
-            logger.warning("abnormal losses degenerate at phase transition; T2 <- T1")
-            t2, fit_abn = t.t1, None
-        if t2 <= t.t1:
-            logger.warning("T2 (%.6g) <= T1 (%.6g): uncertain band is empty", t2, t.t1)
-        self.thresholds = ThresholdPair(
-            t1=t.t1, t2=t2, p1=t.p1, p2=t.p2, fit_normal=t.fit_normal, fit_abnormal=fit_abn
-        )
+        t2, fit_abn = self._refit(self.abnormal_losses, self.config.p2, "T2") or (t.t1, None)
+        self._install(t.t1, t.fit_normal, t2, fit_abn)
         self._emit(PhaseTransitionEvent(self.samples_seen, t2))
         return True
 
     # ------------------------------------------------------------ retraining
 
-    def _refit_threshold(self, buffer: LossBuffer, p: float, label: str):
+    def _refit(self, buffer: LossBuffer, p: float, name: str):
+        """(threshold, fit) at ``p`` from ``buffer``, or None if it cannot be fitted."""
         try:
             return adaptive_threshold(buffer.values(), p)
         except (EmptyBufferError, DegenerateSampleError) as exc:
-            logger.warning("keeping previous %s threshold: %s", label, exc)
+            logger.warning("cannot refit %s: %s", name, exc)
             return None
+
+    def _install(self, t1, fit_normal, t2, fit_abnormal) -> bool:
+        """Set the thresholds; returns True (with a warning) if the uncertain band is empty."""
+        self.thresholds = ThresholdPair(
+            t1=t1, t2=t2, fit_normal=fit_normal, fit_abnormal=fit_abnormal
+        )
+        empty = t2 is not None and t2 <= t1
+        if empty:
+            logger.warning("T2 (%.6g) <= T1 (%.6g): uncertain band is empty", t2, t1)
+        return empty
 
     def maybe_retrain(self) -> RetrainReport | None:
         """Recompute thresholds and retrain both models every full batch."""
@@ -310,30 +324,21 @@ class OnlineAnomalyDetector:
             return None
         t = self.thresholds
         notes: list[str] = []
-        new_t1, new_t2 = t.t1, t.t2
-        fit_n, fit_a = t.fit_normal, t.fit_abnormal
 
         if self.adapt_thresholds:
-            refit = self._refit_threshold(self.normal_losses, self.config.p1, "T1")
-            if refit is not None:
-                new_t1, fit_n = refit
-            else:
+            # a threshold that cannot be refitted keeps its previous value
+            t1_fit = self._refit(self.normal_losses, self.config.p1, "T1")
+            if t1_fit is None:
                 notes.append("t1_kept")
+            t2_fit = None
             if self.phase is Phase.STEADY:
-                refit = self._refit_threshold(self.abnormal_losses, self.config.p2, "T2")
-                if refit is not None:
-                    new_t2, fit_a = refit
-                else:
+                t2_fit = self._refit(self.abnormal_losses, self.config.p2, "T2")
+                if t2_fit is None:
                     notes.append("t2_kept")
-            if new_t2 is not None and new_t2 <= new_t1:
-                logger.warning(
-                    "T2 (%.6g) <= T1 (%.6g): uncertain band is empty", new_t2, new_t1
-                )
+            t1, fit_n = t1_fit or (t.t1, t.fit_normal)
+            t2, fit_a = t2_fit or (t.t2, t.fit_abnormal)
+            if self._install(t1, fit_n, t2, fit_a):
                 notes.append("empty_uncertain_band")
-            self.thresholds = ThresholdPair(
-                t1=new_t1, t2=new_t2, p1=t.p1, p2=t.p2,
-                fit_normal=fit_n, fit_abnormal=fit_a,
-            )
 
         scorer_windows = len(self._pending_normal_windows)
         if self.adapt_scorer:

@@ -9,8 +9,11 @@ inverted at a percentile to produce a decision threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
+from statistics import NormalDist
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import (
 
 _SQRT2 = math.sqrt(2.0)
 _VARIANCE_FLOOR = 1e-12
+_STD_NORMAL = NormalDist()
 
 
 class DistributionFamily(Enum):
@@ -62,8 +66,6 @@ class ThresholdPair:
 
     t1: float
     t2: float | None
-    p1: float
-    p2: float
     fit_normal: DistributionFit
     fit_abnormal: DistributionFit | None = None
 
@@ -72,25 +74,36 @@ class ThresholdPair:
             raise ValueError("t1 must be finite")
         if self.t2 is not None and not math.isfinite(self.t2):
             raise ValueError("t2 must be finite when present")
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {p}")
 
 
-def _as_sample(losses) -> np.ndarray:
+def _sorted_sample(losses) -> tuple[np.ndarray, np.ndarray]:
+    """The sample as a flat float array and its sorted copy; needs at least 2 values."""
     x = np.asarray(losses, dtype=float).ravel()
-    return x
+    if x.size < 2:
+        raise DegenerateSampleError(f"need at least 2 values, got {x.size}")
+    return x, np.sort(x)
 
 
 def _mean_and_population_std(x: np.ndarray) -> tuple[float, float]:
-    """Mean and divisor-n standard deviation; rejects degenerate samples."""
-    if x.size < 2:
-        raise DegenerateSampleError(f"need at least 2 values, got {x.size}")
+    """Mean and divisor-n standard deviation; rejects a near-constant sample."""
     mean = float(np.mean(x))
     var = float(np.mean((x - mean) ** 2))
     if var < _VARIANCE_FLOOR:
         raise DegenerateSampleError(f"sample variance {var:.3e} below {_VARIANCE_FLOOR}")
     return mean, math.sqrt(var)
+
+
+def _fit(
+    family: DistributionFamily, xs: np.ndarray, mean: float, std: float
+) -> DistributionFit:
+    """The closed-form fit of ``family`` from the sample moments, with its KS against ``xs``.
+
+    ``mean``/``std`` are those of the log-values for the lognormal and of the
+    values otherwise; ``xs`` is the sorted sample.
+    """
+    scale = math.sqrt(3.0) * std / math.pi if family is DistributionFamily.LOGISTIC else std
+    fit = DistributionFit(family, mean, scale, 0.0)
+    return replace(fit, gof=_ks_sorted(xs, fit))
 
 
 def fit_lognormal_mle(losses) -> DistributionFit:
@@ -99,30 +112,22 @@ def fit_lognormal_mle(losses) -> DistributionFit:
     location is the mean of the log-values and scale the divisor-n standard
     deviation of the log-values.
     """
-    x = _as_sample(losses)
-    if x.size and float(np.min(x)) <= 0.0:
+    x, xs = _sorted_sample(losses)
+    if xs[0] <= 0.0:
         raise NonPositiveSampleError("lognormal requires strictly positive values")
-    logs = np.log(x)
-    location, scale = _mean_and_population_std(logs)
-    fit = DistributionFit(DistributionFamily.LOGNORMAL, location, scale, 0.0)
-    return DistributionFit(fit.family, fit.location, fit.scale, ks_statistic(x, fit))
+    return _fit(DistributionFamily.LOGNORMAL, xs, *_mean_and_population_std(np.log(x)))
 
 
 def fit_normal_mle(losses) -> DistributionFit:
     """Closed-form maximum-likelihood normal fit (divisor-n variance)."""
-    x = _as_sample(losses)
-    location, scale = _mean_and_population_std(x)
-    fit = DistributionFit(DistributionFamily.NORMAL, location, scale, 0.0)
-    return DistributionFit(fit.family, fit.location, fit.scale, ks_statistic(x, fit))
+    x, xs = _sorted_sample(losses)
+    return _fit(DistributionFamily.NORMAL, xs, *_mean_and_population_std(x))
 
 
 def fit_logistic_mom(losses) -> DistributionFit:
     """Method-of-moments logistic fit: gamma = sqrt(3 * var) / pi."""
-    x = _as_sample(losses)
-    location, std = _mean_and_population_std(x)
-    scale = math.sqrt(3.0) * std / math.pi
-    fit = DistributionFit(DistributionFamily.LOGISTIC, location, scale, 0.0)
-    return DistributionFit(fit.family, fit.location, fit.scale, ks_statistic(x, fit))
+    x, xs = _sorted_sample(losses)
+    return _fit(DistributionFamily.LOGISTIC, xs, *_mean_and_population_std(x))
 
 
 def std_normal_cdf(z):
@@ -141,23 +146,27 @@ def cdf(fit: DistributionFit, x):
     """CDF of a fitted distribution, vectorized over ``x``."""
     arr = np.asarray(x, dtype=float)
     if fit.family is DistributionFamily.LOGNORMAL:
-        out = np.zeros_like(arr, dtype=float)
+        out = np.zeros_like(arr)
         pos = arr > 0.0
         out[pos] = std_normal_cdf((np.log(arr[pos]) - fit.location) / fit.scale)
-        return out if arr.ndim else float(out)
-    if fit.family is DistributionFamily.NORMAL:
-        return std_normal_cdf((arr - fit.location) / fit.scale)
-    # logistic: stable sigmoid of the standardized value
+        return out
     t = (arr - fit.location) / fit.scale
-    out = np.empty_like(t, dtype=float) if t.ndim else None
-    if t.ndim == 0:
-        tv = float(t)
-        return 1.0 / (1.0 + math.exp(-tv)) if tv >= 0 else math.exp(tv) / (1.0 + math.exp(tv))
+    if fit.family is DistributionFamily.NORMAL:
+        return std_normal_cdf(t)
+    # logistic: stable sigmoid of the standardized value
+    out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def _ks_sorted(xs: np.ndarray, fit: DistributionFit) -> float:
+    f = cdf(fit, xs)
+    n = xs.size
+    i = np.arange(1, n + 1, dtype=float)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
 
 
 def ks_statistic(losses, fit: DistributionFit) -> float:
@@ -166,105 +175,56 @@ def ks_statistic(losses, fit: DistributionFit) -> float:
     Uses the discrete evaluation max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)
     over the sorted sample; the result lies in [0, 1].
     """
-    x = _as_sample(losses)
-    if x.size < 1:
+    xs = np.sort(np.asarray(losses, dtype=float).ravel())
+    if xs.size < 1:
         raise DegenerateSampleError("KS statistic needs at least one value")
-    if fit.family is DistributionFamily.LOGNORMAL and float(np.min(x)) <= 0.0:
+    if fit.family is DistributionFamily.LOGNORMAL and xs[0] <= 0.0:
         raise NonPositiveSampleError("lognormal KS requires strictly positive values")
-    xs = np.sort(x)
-    f = np.asarray(cdf(fit, xs), dtype=float)
-    n = xs.size
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1.0) / n)
-    return float(max(d_plus, d_minus))
-
-
-# Fixed candidate order; ties in the KS ranking resolve to the earlier entry.
-_CANDIDATE_ORDER = (
-    (DistributionFamily.LOGNORMAL, fit_lognormal_mle),
-    (DistributionFamily.NORMAL, fit_normal_mle),
-    (DistributionFamily.LOGISTIC, fit_logistic_mom),
-)
+    return _ks_sorted(xs, fit)
 
 
 def fit_best_distribution(losses) -> DistributionFit:
     """Fit every applicable family and return the one with the smallest KS.
 
-    The lognormal candidate is skipped (not clamped) when any value is <= 0.
+    Candidates in order lognormal, normal, logistic; a KS tie resolves to the
+    earlier one. The lognormal is skipped (not clamped) when any value is
+    <= 0, and a family whose moments are degenerate is skipped.
     """
-    x = _as_sample(losses)
-    has_nonpositive = x.size > 0 and float(np.min(x)) <= 0.0
-    best: DistributionFit | None = None
-    for family, fitter in _CANDIDATE_ORDER:
-        if family is DistributionFamily.LOGNORMAL and has_nonpositive:
-            continue
-        try:
-            candidate = fitter(x)
-        except DegenerateSampleError:
-            continue
-        if best is None or candidate.gof < best.gof:
-            best = candidate
-    if best is None:
+    x, xs = _sorted_sample(losses)
+    fits = []
+    if xs[0] > 0.0:
+        with suppress(DegenerateSampleError):
+            log_moments = _mean_and_population_std(np.log(x))
+            fits.append(_fit(DistributionFamily.LOGNORMAL, xs, *log_moments))
+    with suppress(DegenerateSampleError):
+        moments = _mean_and_population_std(x)
+        fits.append(_fit(DistributionFamily.NORMAL, xs, *moments))
+        fits.append(_fit(DistributionFamily.LOGISTIC, xs, *moments))
+    if not fits:
         raise DegenerateSampleError("no candidate family could be fitted")
-    return best
+    return min(fits, key=attrgetter("gof"))
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Wichura's rational approximation).
+    """Inverse standard normal CDF: the stdlib ``NormalDist.inv_cdf``.
 
-    Absolute error is far below the 1e-9 target across (0, 1); validated in
-    the test suite against bisection on a series-summed erf.
+    That is Wichura's AS241 rational approximation (absolute error far below
+    the 1e-9 target across (0, 1)); validated in the test suite against
+    bisection on a series-summed erf.
     """
     if not 0.0 < p < 1.0:
         raise InvalidPercentileError(f"percentile must lie in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    value = num / den
-    return -value if q < 0.0 else value
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def quantile(fit: DistributionFit, p: float) -> float:
     """Inverse CDF of a fitted distribution at percentile ``p``."""
     if not 0.0 < p < 1.0:
         raise InvalidPercentileError(f"percentile must lie in (0, 1), got {p}")
-    if fit.family is DistributionFamily.LOGNORMAL:
-        return math.exp(std_normal_quantile(p) * fit.scale + fit.location)
-    if fit.family is DistributionFamily.NORMAL:
-        return std_normal_quantile(p) * fit.scale + fit.location
-    return fit.location + fit.scale * math.log(p / (1.0 - p))
+    if fit.family is DistributionFamily.LOGISTIC:
+        return fit.location + fit.scale * math.log(p / (1.0 - p))
+    z = std_normal_quantile(p) * fit.scale + fit.location
+    return math.exp(z) if fit.family is DistributionFamily.LOGNORMAL else z
 
 
 def adaptive_threshold(losses, p: float) -> tuple[float, DistributionFit]:
@@ -273,12 +233,9 @@ def adaptive_threshold(losses, p: float) -> tuple[float, DistributionFit]:
     Raises EmptyBufferError on an empty sample so callers can keep their
     previous threshold.
     """
-    x = _as_sample(losses)
-    if x.size == 0:
+    if np.size(losses) == 0:
         raise EmptyBufferError("cannot fit a threshold to an empty buffer")
-    if not 0.0 < p < 1.0:
-        raise InvalidPercentileError(f"percentile must lie in (0, 1), got {p}")
-    fit = fit_best_distribution(x)
+    fit = fit_best_distribution(losses)
     return quantile(fit, p), fit
 
 
@@ -289,10 +246,9 @@ def pp_points(losses, fit: DistributionFit) -> np.ndarray:
     sorted sample, with the midpoint convention (i - 0.5) / n on the
     empirical axis.
     """
-    x = np.sort(_as_sample(losses))
+    x = np.sort(np.asarray(losses, dtype=float).ravel())
     if x.size == 0:
         raise EmptyBufferError("no values to plot")
     n = x.size
     empirical = (np.arange(1, n + 1, dtype=float) - 0.5) / n
-    theoretical = np.asarray(cdf(fit, x), dtype=float)
-    return np.column_stack([empirical, theoretical])
+    return np.column_stack([empirical, cdf(fit, x)])

@@ -257,7 +257,7 @@ def test_criterion_6_engine_fuzz(criterion_report):
         buffer_capacity=capacity,
         seed=9,
     )
-    engine = OnlineAnomalyDetector(config, scorer=_StubScorer(), pretrained=True)
+    engine = OnlineAnomalyDetector(config, scorer=_StubScorer())
     engine.bootstrap(
         [StreamRecord(index=i, features=np.append(losses[i], extra[i])) for i in range(200)]
     )

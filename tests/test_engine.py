@@ -76,8 +76,7 @@ def stub_engine(
         buffer_capacity=capacity,
         seed=1,
     )
-    engine = OnlineAnomalyDetector(config, scorer=StubScorer(), pretrained=True,
-                                   sink=sink, **kwargs)
+    engine = OnlineAnomalyDetector(config, scorer=StubScorer(), sink=sink, **kwargs)
     engine.bootstrap(records_from_losses(first_losses))
     return engine
 
@@ -100,6 +99,14 @@ class TestLossBuffer:
             LossBuffer(0)
 
 
+class TestEngineConfig:
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1])
+    def test_rejects_percentile_outside_open_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
+
+
 class TestBootstrap:
     def test_requires_two_windows(self):
         with pytest.raises(InsufficientDataError):
@@ -113,7 +120,7 @@ class TestBootstrap:
         config = EngineConfig(
             scorer=ScorerConfig(timestep=2, n_features=2, hidden_size=4, latent_size=2)
         )
-        engine = OnlineAnomalyDetector(config, scorer=StubScorer(), pretrained=True)
+        engine = OnlineAnomalyDetector(config, scorer=StubScorer())
         with pytest.raises(NotBootstrappedError):
             engine.process(StreamRecord(index=0, features=np.zeros(2)))
 
@@ -382,6 +389,48 @@ class TestRejectedRecords:
         assert dirty.samples_seen == clean.samples_seen == 50
         assert np.array_equal(dirty.normal_losses.values(), clean.normal_losses.values())
         assert np.array_equal(dirty.abnormal_losses.values(), clean.abnormal_losses.values())
+
+    def test_bad_first_round_changes_no_state(self):
+        # real scorer, T=3: a bad first-round row is rejected before the
+        # scorer trains, so a retry with good rows bootstraps as if fresh
+        records = [
+            r.to_stream()
+            for r in synthetic_stream(SyntheticConfig(n_records=30, n_features=2), seed=2)
+        ]
+
+        def fresh():
+            config = EngineConfig(
+                scorer=ScorerConfig(
+                    timestep=3, n_features=2, hidden_size=4, latent_size=2,
+                    epochs_initial=2, seed=1,
+                ),
+                seed=1,
+            )
+            return OnlineAnomalyDetector(config)
+
+        reference = fresh()
+        reference.bootstrap(records)
+        bad = [
+            (NonFiniteError, [np.nan, 10.0]),
+            (NonFiniteError, [10.0, np.inf]),
+            (ShapeMismatchError, [10.0]),
+            (ShapeMismatchError, [10.0, 10.0, 10.0]),
+        ]
+        for error, features in bad:
+            engine = fresh()
+            params = {k: v.copy() for k, v in engine.scorer.params.items()}
+            rng_state = engine.scorer.rng.bit_generator.state
+            first_round = list(records)
+            first_round[17] = StreamRecord(index=17, features=np.array(features))
+            with pytest.raises(error):
+                engine.bootstrap(first_round)
+            assert not engine.bootstrapped
+            assert len(engine.normal_losses) == 0
+            assert all(np.array_equal(params[k], v) for k, v in engine.scorer.params.items())
+            assert engine.scorer.rng.bit_generator.state == rng_state
+            engine.bootstrap(records)
+            assert engine.thresholds == reference.thresholds
+            assert np.array_equal(engine.normal_losses.values(), reference.normal_losses.values())
 
 
 class TestEventsAndDeterminism:

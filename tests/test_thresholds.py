@@ -178,20 +178,21 @@ class TestBestDistribution:
         x = rng.lognormal(0.0, 0.8, size=2000)
         assert fit_best_distribution(x).family is DistributionFamily.LOGNORMAL
 
-    def test_recovers_normal(self):
-        # positive-support normal keeps the lognormal candidate in play;
-        # seed chosen where the true family wins the (close) KS race
-        rng = np.random.default_rng(3)
-        x = rng.normal(100.0, 5.0, size=2000)
-        best = fit_best_distribution(x)
-        assert best.family is DistributionFamily.NORMAL
-        # selection equals a direct KS comparison of the three fits
-        stats = {
-            DistributionFamily.LOGNORMAL: fit_lognormal_mle(x).gof,
-            DistributionFamily.NORMAL: fit_normal_mle(x).gof,
-            DistributionFamily.LOGISTIC: fit_logistic_mom(x).gof,
-        }
-        assert best.gof == min(stats.values())
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_best_is_min_ks_fit(self, seed, positive):
+        # the selection equals a direct KS comparison of the three fits, ties
+        # to the earlier family; a mixed-sign sample has no lognormal candidate
+        rng = np.random.default_rng(seed)
+        if positive:
+            x = rng.lognormal(rng.normal(), 0.1 + rng.random(), size=300)
+        else:
+            x = rng.normal(rng.normal(), 0.5 + rng.random(), size=300)
+            x[0], x[1] = -abs(x[0]) - 0.1, abs(x[1]) + 0.1
+        fits = [fit_normal_mle(x), fit_logistic_mom(x)]
+        if positive:
+            fits.insert(0, fit_lognormal_mle(x))
+        assert fit_best_distribution(x) == min(fits, key=lambda f: f.gof)
 
     def test_nonpositive_excludes_lognormal(self):
         best = fit_best_distribution([-1.0, 0.0, 1.0, 2.0])
@@ -309,12 +310,12 @@ class TestTypes:
 
     def test_threshold_pair_validation(self):
         fit = make_fit(DistributionFamily.NORMAL, 0.0, 1.0)
-        pair = ThresholdPair(t1=1.0, t2=None, p1=0.98, p2=0.10, fit_normal=fit)
+        pair = ThresholdPair(t1=1.0, t2=None, fit_normal=fit)
         assert pair.t2 is None
         with pytest.raises(ValueError):
-            ThresholdPair(t1=float("inf"), t2=None, p1=0.98, p2=0.10, fit_normal=fit)
+            ThresholdPair(t1=float("inf"), t2=None, fit_normal=fit)
         with pytest.raises(ValueError):
-            ThresholdPair(t1=0.0, t2=None, p1=1.5, p2=0.10, fit_normal=fit)
+            ThresholdPair(t1=0.0, t2=float("nan"), fit_normal=fit)
 
     def test_pp_points_shape_and_range(self):
         rng = np.random.default_rng(4)
