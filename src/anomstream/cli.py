@@ -18,6 +18,7 @@ import copy
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -129,18 +130,18 @@ def _load_run_config(args) -> dict:
 
 
 def _split_records(records, split_cfg):
-    kind = split_cfg.get("kind", "fractions")
+    """Split by ``split_cfg``, which ``_DEFAULT_CONFIG`` has filled in."""
+    kind = split_cfg["kind"]
     if kind == "fractions":
         return ingest.split_fractions(
-            records,
-            first=split_cfg.get("first", 0.01),
-            train=split_cfg.get("train", 0.69),
-            test=split_cfg.get("test", 0.30),
+            records, split_cfg["first"], split_cfg["train"], split_cfg["test"]
         )
     if kind == "days":
-        return ingest.split_days(
-            records, split_cfg.get("first", []), split_cfg.get("test", [])
-        )
+        # the fraction defaults are merged in too: a missing list reads as a number
+        first, test = split_cfg["first"], split_cfg["test"]
+        if not (isinstance(first, list) and isinstance(test, list)):
+            raise UsageError("a days split needs 'first' and 'test' lists of dates")
+        return ingest.split_days(records, first, test)
     raise UsageError(f"unknown split kind: {kind!r}")
 
 
@@ -148,48 +149,45 @@ def _split_records(records, split_cfg):
 
 
 class _RunRecorder:
-    """Collects verdict rows and the threshold trajectory from engine events.
+    """Collects the verdicts and the threshold trajectory from engine events.
 
-    The verdict rows carry the thresholds in force when each record was
-    routed (the engine emits them with the verdict, before any phase
-    transition triggered by the same record).
+    Each verdict carries the thresholds in force when its record was routed
+    (the engine emits it before any phase transition the record triggers).
     """
 
     def __init__(self):
-        self.rows = []  # (index, loss, route, label, t1, t2, vote_frac)
+        self.verdicts: list[engine_mod.Verdict] = []
         self.threshold_rows = []  # (samples_seen, event, t1, t2)
 
     def sink(self, event):
-        if isinstance(event, engine_mod.VerdictEvent):
-            v = event.verdict
-            frac = vote_fraction(v.votes) if v.votes is not None else float("nan")
-            self.rows.append(
-                (event.index, v.loss, v.route.value, v.label.display,
-                 event.t1, event.t2, frac)
+        if isinstance(event, engine_mod.Verdict):
+            self.verdicts.append(event)
+        elif isinstance(event, engine_mod.RetrainReport):
+            self.threshold_rows.append(
+                (event.samples_seen, "retrain", event.new_t1, event.new_t2)
             )
-        elif isinstance(event, engine_mod.RetrainEvent):
-            r = event.report
-            self.threshold_rows.append((r.samples_seen, "retrain", r.new_t1, r.new_t2))
         elif isinstance(event, engine_mod.PhaseTransitionEvent):
             self.threshold_rows.append((event.samples_seen, "phase_transition", None, event.t2))
 
 
-def _composite_scores(recorder: _RunRecorder) -> np.ndarray:
-    losses = np.array([r[1] for r in recorder.rows], dtype=float)
-    routes = np.array([r[2] for r in recorder.rows], dtype=object)
-    votes = np.array([r[6] for r in recorder.rows], dtype=float)
+def _composite_scores(verdicts) -> np.ndarray:
+    losses = np.array([v.loss for v in verdicts], dtype=float)
+    routes = np.array([v.route.value for v in verdicts], dtype=object)
+    votes = np.array(
+        [vote_fraction(v.votes) if v.votes is not None else np.nan for v in verdicts],
+        dtype=float,
+    )
     return metrics_mod.composite_scores(losses, routes, votes)
 
 
-def _write_verdicts(path: Path, recorder: _RunRecorder, scores: np.ndarray) -> None:
+def _write_verdicts(path: Path, verdicts, scores: np.ndarray) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(VERDICT_COLUMNS)
-        for row, score in zip(recorder.rows, scores):
-            index, loss, route, label, t1, t2, _ = row
+        for v, score in zip(verdicts, scores):
             writer.writerow(
-                [index, _fmt_float(loss), route, label,
-                 _fmt_float(t1), _fmt_float(t2), _fmt_float(score)]
+                [v.index, _fmt_float(v.loss), v.route.value, v.label.display,
+                 _fmt_float(v.t1), _fmt_float(v.t2), _fmt_float(score)]
             )
 
 
@@ -201,21 +199,22 @@ def _write_thresholds(path: Path, recorder: _RunRecorder) -> None:
             writer.writerow([samples_seen, event, _fmt_float(t1), _fmt_float(t2)])
 
 
-def _evaluate_slice(recorder: _RunRecorder, scores: np.ndarray, test_records) -> dict | None:
-    truth_by_index = {
-        r.index: r.truth for r in test_records if r.truth is not None
-    }
-    if not truth_by_index:
+def _evaluate_slice(verdicts, scores: np.ndarray, test_records) -> dict | None:
+    """Metrics of the test slice: the last ``len(test_records)`` verdicts.
+
+    Every record yields one verdict in stream order, and the test slice is
+    replayed last.
+    """
+    start = len(verdicts) - len(test_records)
+    rows = [
+        (v.label, r.truth, score)
+        for v, r, score in zip(verdicts[start:], test_records, scores[start:])
+        if r.truth is not None
+    ]
+    if not rows:
         return None
-    predicted, truth, slice_scores = [], [], []
-    for row, score in zip(recorder.rows, scores):
-        if row[0] in truth_by_index:
-            predicted.append(Label.from_name(row[3]))
-            truth.append(truth_by_index[row[0]])
-            slice_scores.append(score)
-    if not predicted:
-        return None
-    return metrics_mod.evaluate(predicted, truth, np.array(slice_scores))
+    predicted, truth, slice_scores = zip(*rows)
+    return metrics_mod.evaluate(list(predicted), list(truth), np.array(slice_scores))
 
 
 def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
@@ -263,7 +262,9 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         adapt_scorer = False
     elif mode == "offline":
         scorer = LstmVaeScorer(scorer_cfg)
-        offline_windows = ingest.windows(first_n + train_n, scorer_cfg.timestep)
+        offline_windows = ingest.windows(
+            np.asarray([r.features for r in first_n + train_n]), scorer_cfg.timestep
+        )
         logger.info("offline pretraining on %d windows", len(offline_windows))
         scorer.train(offline_windows, scorer_cfg.epochs_initial)
         adapt_scorer = False
@@ -286,8 +287,8 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         detector.maybe_retrain()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    scores = _composite_scores(recorder)
-    _write_verdicts(out_dir / "verdicts.csv", recorder, scores)
+    scores = _composite_scores(recorder.verdicts)
+    _write_verdicts(out_dir / "verdicts.csv", recorder.verdicts, scores)
     _write_thresholds(out_dir / "thresholds.csv", recorder)
     if hasattr(detector.scorer, "save"):
         detector.scorer.save(out_dir / "scorer.npz")
@@ -298,7 +299,7 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
         encoding="utf-8",
     )
 
-    report = _evaluate_slice(recorder, scores, test_n)
+    report = _evaluate_slice(recorder.verdicts, scores, test_n)
     if report is not None:
         (out_dir / "metrics.txt").write_text(
             metrics_mod.report_text(report), encoding="utf-8"
@@ -338,11 +339,14 @@ def _read_column(path: Path, column: str) -> np.ndarray:
             if cell is None or cell.strip() == "":
                 continue
             try:
-                values.append(float(cell))
-            except ValueError as exc:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ingest.SchemaMismatchError(
-                    f"non-numeric value {cell!r} in column {column!r}"
-                ) from exc
+                    f"non-numeric or non-finite value {cell!r} in column {column!r}"
+                )
+            values.append(value)
     return np.asarray(values, dtype=float)
 
 

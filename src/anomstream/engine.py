@@ -4,8 +4,8 @@ Each incoming record extends a sliding window, gets a scalar loss from the
 scorer, and is routed by the current thresholds into high-confidence
 normal, high-confidence abnormal, or the uncertain band decided by the
 forest. High-confidence losses feed bounded FIFO buffers from which the
-thresholds are re-fitted, and both models retrain from pseudo-labeled
-accumulators every ``update_interval`` samples.
+thresholds are re-fitted, and both models retrain every ``update_interval``
+samples from the interval's feature rows and pseudo-labels.
 
 The engine is a single-writer state machine: ``process`` and
 ``maybe_retrain`` must be called sequentially from one thread.
@@ -52,9 +52,14 @@ class Route(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """One routed record; ``t1``/``t2`` are the thresholds it was routed by."""
+
+    index: int
     label: Label
     route: Route
     loss: float
+    t1: float
+    t2: float | None
     votes: tuple[int, int] | None = None
 
 
@@ -119,25 +124,12 @@ class RetrainReport:
 
 
 @dataclass(frozen=True)
-class VerdictEvent:
-    index: int
-    verdict: Verdict
-    t1: float
-    t2: float | None
-
-
-@dataclass(frozen=True)
-class RetrainEvent:
-    report: RetrainReport
-
-
-@dataclass(frozen=True)
 class PhaseTransitionEvent:
     samples_seen: int
     t2: float
 
 
-EngineEvent = VerdictEvent | RetrainEvent | PhaseTransitionEvent
+EngineEvent = Verdict | RetrainReport | PhaseTransitionEvent
 
 
 class OnlineAnomalyDetector:
@@ -176,11 +168,11 @@ class OnlineAnomalyDetector:
         self.samples_seen = 0
         self.retrains_done = 0
 
-        self._window_tail: deque[np.ndarray] = deque(maxlen=config.scorer.timestep)
-        self._pending_count = 0  # records processed since the last retrain
-        self._pending_normal_windows: list[np.ndarray] = []
-        self._pending_features: list[np.ndarray] = []
-        self._pending_labels: list[Label] = []
+        # the pending interval: the timestep - 1 feature rows before it, then
+        # one row, one label and one route per pending record
+        self._rows: list[np.ndarray] = []
+        self._labels: list[Label] = []
+        self._routes: list[Route] = []
         self._forest_seeds = np.random.SeedSequence(config.seed)
 
     # ------------------------------------------------------------- lifecycle
@@ -209,7 +201,7 @@ class OnlineAnomalyDetector:
         """
         features = [self._checked_features(record) for record in first_round]
         t = self.config.scorer.timestep
-        first_windows = make_windows(first_round, t)
+        first_windows = make_windows(np.asarray(features), t)
         if len(first_windows) < 2:
             raise InsufficientDataError(
                 f"first round yields {len(first_windows)} windows, need at least 2"
@@ -217,15 +209,17 @@ class OnlineAnomalyDetector:
         if not self._pretrained:
             self.scorer.train(first_windows, self.config.scorer.epochs_initial)
         losses = self.scorer.score_many(first_windows)
-        self.normal_losses.extend(losses)
+        # fit on what the buffer would hold, so a failed fit leaves it as it was
+        held = np.concatenate([self.normal_losses.values(), losses])
         try:
-            t1, fit = adaptive_threshold(self.normal_losses.values(), self.config.p1)
+            t1, fit = adaptive_threshold(held[-self.normal_losses.capacity :], self.config.p1)
         except DegenerateSampleError as exc:
             raise InsufficientDataError(
                 f"first-round losses are degenerate: {exc}"
             ) from exc
+        self.normal_losses.extend(losses)
         self._install(t1, fit, None, None)
-        self._window_tail.extend(features[-t:])
+        self._rows = features[len(features) - (t - 1) :]
 
     # -------------------------------------------------------------- routing
 
@@ -248,36 +242,32 @@ class OnlineAnomalyDetector:
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
         features = self._checked_features(record)
-        self._window_tail.append(features)
-        window = np.stack(self._window_tail)
-        loss = self.scorer.score(window)
+        self._rows.append(features)
+        loss = self.scorer.score(np.stack(self._rows[-self.config.scorer.timestep :]))
         t = self.thresholds
 
         # t2 is None exactly in the single-threshold phase
+        votes = None
         if loss < t.t1:
-            verdict = Verdict(Label.NORMAL, Route.HIGH_CONF_NORMAL, loss)
+            label, route = Label.NORMAL, Route.HIGH_CONF_NORMAL
             self.normal_losses.append(loss)
         elif t.t2 is None or loss > t.t2:
-            verdict = Verdict(Label.ABNORMAL, Route.HIGH_CONF_ABNORMAL, loss)
+            label, route = Label.ABNORMAL, Route.HIGH_CONF_ABNORMAL
             self.abnormal_losses.append(loss)
         else:
+            route = Route.CLASSIFIER
             if self.forest is not None:
                 label, votes = predict(self.forest, features)
             else:
                 # cold start before the first steady retrain: midpoint rule
                 midpoint = 0.5 * (t.t1 + t.t2)
                 label = Label.NORMAL if loss <= midpoint else Label.ABNORMAL
-                votes = None
-            verdict = Verdict(label, Route.CLASSIFIER, loss, votes)
-        if verdict.route is not Route.CLASSIFIER:
-            self._pending_features.append(features)
-            self._pending_labels.append(verdict.label)
-        if verdict.label is Label.NORMAL:
-            self._pending_normal_windows.append(window)
+        verdict = Verdict(record.index, label, route, loss, t.t1, t.t2, votes)
+        self._labels.append(label)
+        self._routes.append(route)
 
-        self._pending_count += 1
         self.samples_seen += 1
-        self._emit(VerdictEvent(record.index, verdict, t.t1, t.t2))
+        self._emit(verdict)
         self.phase_transition()
         return verdict
 
@@ -320,7 +310,7 @@ class OnlineAnomalyDetector:
 
     def maybe_retrain(self) -> RetrainReport | None:
         """Recompute thresholds and retrain both models every full batch."""
-        if self._pending_count < self.config.update_interval:
+        if len(self._labels) < self.config.update_interval:
             return None
         t = self.thresholds
         notes: list[str] = []
@@ -340,21 +330,25 @@ class OnlineAnomalyDetector:
             if self._install(t1, fit_n, t2, fit_a):
                 notes.append("empty_uncertain_band")
 
-        scorer_windows = len(self._pending_normal_windows)
+        t_steps = self.config.scorer.timestep
+        scorer_windows = self._labels.count(Label.NORMAL)
         if self.adapt_scorer:
             if scorer_windows:
-                self.scorer.train(self._pending_normal_windows, self.config.scorer.epochs_update)
+                normal = np.array(self._labels) == Label.NORMAL
+                batch = make_windows(np.asarray(self._rows), t_steps)[normal]
+                self.scorer.train(batch, self.config.scorer.epochs_update)
             else:
                 logger.warning("no pseudo-normal windows this batch; scorer not updated")
                 notes.append("scorer_skipped")
 
-        forest_samples = len(self._pending_features)
+        forest_samples = len(self._routes) - self._routes.count(Route.CLASSIFIER)
         forest_trained = False
         if self.two_layer and self.phase is Phase.STEADY:
+            kept = np.array(self._routes) != Route.CLASSIFIER
             try:
                 self.forest = fit_forest(
-                    np.asarray(self._pending_features, dtype=float),
-                    np.asarray([int(l) for l in self._pending_labels], dtype=np.int64),
+                    np.asarray(self._rows[t_steps - 1 :], dtype=float)[kept],
+                    np.array(self._labels, dtype=np.int64)[kept],
                     self.config.forest,
                     seed=self._forest_seeds.spawn(1)[0],
                 )
@@ -363,10 +357,9 @@ class OnlineAnomalyDetector:
                 logger.warning("keeping previous forest: %s", exc)
                 notes.append("forest_skipped")
 
-        self._pending_normal_windows.clear()
-        self._pending_features.clear()
-        self._pending_labels.clear()
-        self._pending_count = 0
+        self._rows = self._rows[len(self._rows) - (t_steps - 1) :]
+        self._labels.clear()
+        self._routes.clear()
         self.retrains_done += 1
         report = RetrainReport(
             index=self.retrains_done,
@@ -380,5 +373,5 @@ class OnlineAnomalyDetector:
             forest_trained=forest_trained,
             notes=tuple(notes),
         )
-        self._emit(RetrainEvent(report))
+        self._emit(report)
         return report

@@ -198,7 +198,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     present = np.unique(y)
-    # before the shape check: an empty batch arrives with x of shape (0,)
+    # before the shape check, so an empty batch of any shape is degenerate
     if present.size < 2:
         raise DegenerateTrainingSetError(
             "training set must contain both classes, got only "

@@ -194,16 +194,16 @@ def normalize_records(
     ]
 
 
-def windows(records: Sequence[FeatureRecord | StreamRecord], timestep: int) -> np.ndarray:
-    """Sliding windows of length ``timestep`` with stride one, as an (N, T, D) array.
+def windows(rows: np.ndarray, timestep: int) -> np.ndarray:
+    """Sliding windows of length ``timestep`` with stride one over (N, D) ``rows``.
 
-    The first timestep - 1 records yield nothing; every later record yields
-    exactly one window ending at it, so n records give max(0, n - T + 1)
-    windows. The result is a read-only view of the stacked feature rows.
+    The first timestep - 1 rows yield nothing; every later row yields
+    exactly one window ending at it, so n rows give max(0, n - T + 1)
+    windows, as one read-only (n - T + 1, T, D) view of ``rows``.
     """
     if timestep < 1:
         raise ValueError("timestep must be >= 1")
-    rows = np.asarray([r.features for r in records], dtype=float)
+    rows = np.asarray(rows, dtype=float)
     if rows.shape[0] < timestep:
         return np.empty((0, timestep, *rows.shape[1:]))
     return sliding_window_view(rows, timestep, axis=0).transpose(0, 2, 1)

@@ -112,6 +112,12 @@ class TestRun:
         ])
         assert rc == 2
 
+    def test_days_split_without_first_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"stream": {"split": {"kind": "days", "test": ["2024-01-02"]}}}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert "days split" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_matches_run_metrics(self, run_dir, tmp_path):
@@ -242,6 +248,14 @@ class TestFit:
         path.write_text("other\n1.0\n")
         assert main(["fit", "--csv", str(path), "--column", "loss",
                      "--percentile", "0.9"]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "losses.csv"
+        path.write_text(f"loss\n1.0\n2.0\n{cell}\n3.0\n")
+        assert main(["fit", "--csv", str(path), "--column", "loss",
+                     "--percentile", "0.9"]) == 2
+        assert repr(cell) in capsys.readouterr().err
 
 
 class TestSynth:

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from anomstream import engine as engine_mod
 from anomstream.engine import (
     EngineConfig,
     LossBuffer,
     OnlineAnomalyDetector,
     Phase,
     PhaseTransitionEvent,
-    RetrainEvent,
+    RetrainReport,
     Route,
-    VerdictEvent,
+    Verdict,
 )
 from anomstream.errors import (
     InsufficientDataError,
@@ -29,11 +30,11 @@ class StubScorer:
     """Deterministic stand-in: the loss is the window's last first-feature.
 
     Lets tests place each record's loss exactly while exercising the real
-    state machine; training is a counted no-op.
+    state machine; training is a no-op that keeps a copy of its windows.
     """
 
     def __init__(self):
-        self.train_calls = []
+        self.train_calls = []  # (windows, epochs)
 
     def score(self, window):
         return float(window[-1][0])
@@ -42,7 +43,7 @@ class StubScorer:
         return np.array([self.score(w) for w in windows])
 
     def train(self, windows, epochs):
-        self.train_calls.append((len(windows), epochs))
+        self.train_calls.append((np.array(windows), epochs))
         return self
 
 
@@ -347,6 +348,50 @@ class TestRetraining:
         assert "forest_skipped" in report.notes
         assert engine.forest is forest
 
+    @pytest.mark.parametrize("timestep", [1, 2, 4])
+    def test_retrain_batches_are_the_routed_rows(self, timestep, monkeypatch):
+        # over two intervals, so the rows carried across a retrain count:
+        # the scorer fine-tunes on the window ending at each pseudo-normal
+        # record and the forest fits the rows not routed to the classifier
+        fits = []
+        real_fit = engine_mod.fit_forest
+
+        def spy(x, y, config, seed):
+            fits.append((np.array(x), np.array(y)))
+            return real_fit(x, y, config, seed=seed)
+
+        monkeypatch.setattr(engine_mod, "fit_forest", spy)
+        interval = 12
+        rng = np.random.default_rng(timestep)
+        first_losses = bootstrap_losses(rng)
+        engine = stub_engine(first_losses, warmup=3, interval=interval, timestep=timestep)
+        rows = [np.array([v, 0.5]) for v in first_losses]
+        verdicts = []
+        for i in range(2 * interval):
+            t = engine.thresholds
+            if t.t2 is None:
+                loss = t.t1 * 3.0 if i < 3 else t.t1 * 0.5
+            else:
+                loss = [t.t1 * 0.5 * rng.random(), t.t2 * 1.5, 0.5 * (t.t1 + t.t2)][i % 3]
+            rows.append(np.array([loss, rng.random()]))
+            verdicts.append(engine.process(StreamRecord(index=100 + i, features=rows[-1])))
+            assert (engine.maybe_retrain() is None) == ((i + 1) % interval != 0)
+        assert len(engine.scorer.train_calls) == len(fits) == 2
+        n0 = len(first_losses)
+        for k in range(2):
+            pending = range(n0 + k * interval, n0 + (k + 1) * interval)
+            routes = {verdicts[j - n0].route for j in pending}
+            assert routes == set(Route)
+            normal = [j for j in pending if verdicts[j - n0].label is Label.NORMAL]
+            windows, epochs = engine.scorer.train_calls[k]
+            assert epochs == engine.config.scorer.epochs_update
+            expected = np.stack([np.stack(rows[j - timestep + 1 : j + 1]) for j in normal])
+            assert np.array_equal(windows, expected)
+            kept = [j for j in pending if verdicts[j - n0].route is not Route.CLASSIFIER]
+            x, y = fits[k]
+            assert np.array_equal(x, np.stack([rows[j] for j in kept]))
+            assert y.tolist() == [int(verdicts[j - n0].label) for j in kept]
+
 
 class TestRejectedRecords:
     def test_bad_record_changes_no_state(self):
@@ -389,6 +434,20 @@ class TestRejectedRecords:
         assert dirty.samples_seen == clean.samples_seen == 50
         assert np.array_equal(dirty.normal_losses.values(), clean.normal_losses.values())
         assert np.array_equal(dirty.abnormal_losses.values(), clean.abnormal_losses.values())
+
+    def test_degenerate_first_round_leaves_buffer_empty(self):
+        # T1 is fitted before the normal buffer is filled, so a retry after
+        # the failure bootstraps as if fresh
+        good = bootstrap_losses(np.random.default_rng(8))
+        reference = stub_engine(good)
+        engine = OnlineAnomalyDetector(reference.config, scorer=StubScorer())
+        with pytest.raises(InsufficientDataError):
+            engine.bootstrap(records_from_losses([1.0] * 30))
+        assert not engine.bootstrapped
+        assert len(engine.normal_losses) == 0
+        engine.bootstrap(records_from_losses(good))
+        assert engine.thresholds == reference.thresholds
+        assert np.array_equal(engine.normal_losses.values(), reference.normal_losses.values())
 
     def test_bad_first_round_changes_no_state(self):
         # real scorer, T=3: a bad first-round row is rejected before the
@@ -442,14 +501,22 @@ class TestEventsAndDeterminism:
         )
         t1 = engine.thresholds.t1
         rng = np.random.default_rng(6)
+        returned, in_force = [], []
         for i in range(20):
             loss = t1 * 2.0 if i in (2, 4, 6) else t1 * (0.2 + 0.5 * rng.random())
-            engine.process(records_from_losses([loss], start_index=100 + i)[0])
-            engine.maybe_retrain()
+            in_force.append((engine.thresholds.t1, engine.thresholds.t2))
+            returned.append(engine.process(records_from_losses([loss], start_index=100 + i)[0]))
+            report = engine.maybe_retrain()
+            if report is not None:
+                returned.append(report)
         kinds = {type(e) for e in events}
-        assert kinds == {VerdictEvent, RetrainEvent, PhaseTransitionEvent}
-        verdicts = [e for e in events if isinstance(e, VerdictEvent)]
-        assert len(verdicts) == 20
+        assert kinds == {Verdict, RetrainReport, PhaseTransitionEvent}
+        emitted = [e for e in events if not isinstance(e, PhaseTransitionEvent)]
+        assert len(emitted) == len(returned) == 22
+        assert all(e is r for e, r in zip(emitted, returned))
+        verdicts = [e for e in emitted if isinstance(e, Verdict)]
+        assert [v.index for v in verdicts] == list(range(100, 120))
+        assert [(v.t1, v.t2) for v in verdicts] == in_force
 
     def test_full_determinism_with_real_scorer(self):
         config = SyntheticConfig(

@@ -133,27 +133,26 @@ class TestNormalizer:
 
 class TestWindows:
     def test_exact_fit(self):
-        records = make_records(np.arange(10).reshape(5, 2))
-        assert len(list(windows(records, 5))) == 1
+        rows = np.arange(10.0).reshape(5, 2)
+        assert len(list(windows(rows, 5))) == 1
 
     def test_unit_timestep(self):
-        records = make_records(np.arange(10).reshape(5, 2))
-        wins = list(windows(records, 1))
+        rows = np.arange(10.0).reshape(5, 2)
+        wins = list(windows(rows, 1))
         assert len(wins) == 5
         assert wins[2].shape == (1, 2)
 
     def test_window_contents_and_end_index(self):
-        records = make_records(np.arange(12).reshape(6, 2))
-        wins = list(windows(records, 3))
+        rows = np.arange(12.0).reshape(6, 2)
+        wins = list(windows(rows, 3))
         assert wins[0].tolist() == [[0, 1], [2, 3], [4, 5]]
-        # the last window ends at the last record (index 5)
-        assert wins[-1][-1].tolist() == records[5].features.tolist()
+        # the last window ends at the last row (index 5)
+        assert wins[-1][-1].tolist() == rows[5].tolist()
 
     @given(st.integers(0, 40), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_count_formula(self, n, t):
-        records = make_records(np.zeros((n, 1)))
-        assert len(list(windows(records, t))) == max(0, n - t + 1)
+        assert len(list(windows(np.zeros((n, 1)), t))) == max(0, n - t + 1)
 
 
 class TestSynthetic:
