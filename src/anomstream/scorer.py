@@ -92,11 +92,6 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.
     return mu + np.exp(0.5 * logvar) * noise
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # overflow-free: sigmoid(x) = (1 + tanh(x / 2)) / 2
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 class LstmVaeScorer:
     """LSTM encoder/decoder VAE scoring windows by negative ELBO.
 
@@ -143,21 +138,34 @@ class LstmVaeScorer:
 
         Returns the (T, B, H) hidden states and, with ``need_cache``, the
         per-step gate values that ``_lstm_backward`` consumes.
+
+        Each step takes all four gates from one ``tanh`` over the 4H
+        pre-activation, by sigmoid(x) = (1 + tanh(x / 2)) / 2: the i, f and o
+        slices are halved before the ``tanh`` and mapped by (1 + y) / 2 after
+        it, the g slice is left as it is. Halving is exact, so each gate is
+        bit-identical to a sigmoid or tanh taken on its own slice.
         """
         t, b, _ = xw.shape
         h_n = self.config.hidden_size
+        g_slice = slice(2 * h_n, 3 * h_n)
+        scale = np.full(4 * h_n, 0.5)
+        scale[g_slice] = 1.0
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
         hs = np.empty((t, b, h_n))
         steps = [] if need_cache else None
         for xw_t, h_out in zip(xw, hs):
-            a = xw_t + h @ wh.T
-            gi = _sigmoid(a[:, :h_n])
-            gf = _sigmoid(a[:, h_n : 2 * h_n])
-            gg = np.tanh(a[:, 2 * h_n : 3 * h_n])
-            go = _sigmoid(a[:, 3 * h_n :])
+            a = h @ wh.T
+            a += xw_t
+            a *= scale
+            np.tanh(a, out=a)
+            gg = a[:, g_slice].copy()
+            a += 1.0
+            a *= 0.5
+            gi, gf, go = a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 3 * h_n :]
             c_prev, h_prev = c, h
-            c = gf * c_prev + gi * gg
+            c = gf * c_prev
+            c += np.multiply(gi, gg, out=a[:, g_slice])
             tc = np.tanh(c)
             h = np.multiply(go, tc, out=h_out)
             if need_cache:
