@@ -131,11 +131,17 @@ def _load_run_config(args) -> dict:
 
 def _split_records(records, split_cfg):
     """Split by ``split_cfg``, which ``_DEFAULT_CONFIG`` has filled in."""
+    if not isinstance(split_cfg, dict):
+        raise UsageError(f"stream.split must be an object, got {split_cfg!r}")
     kind = split_cfg["kind"]
     if kind == "fractions":
-        return ingest.split_fractions(
-            records, split_cfg["first"], split_cfg["train"], split_cfg["test"]
-        )
+        fractions = [split_cfg[key] for key in ("first", "train", "test")]
+        if not all(
+            isinstance(f, (int, float)) and not isinstance(f, bool) and math.isfinite(f)
+            for f in fractions
+        ):
+            raise UsageError("a fractions split needs finite numbers 'first', 'train' and 'test'")
+        return ingest.split_fractions(records, *fractions)
     if kind == "days":
         # the fraction defaults are merged in too: a missing list reads as a number
         first, test = split_cfg["first"], split_cfg["test"]

@@ -136,11 +136,12 @@ class OnlineAnomalyDetector:
     """Two-layer online detector with self-adapting thresholds.
 
     ``scorer`` may be any object with the LstmVaeScorer scoring/training
-    surface (used by tests to fuzz the state machine with a cheap stub). A
-    scorer passed in counts as pretrained: ``bootstrap`` trains only the
-    scorer the engine builds itself. The adapt_* switches implement the
-    ablation modes: frozen thresholds, frozen scorer, or single-threshold
-    operation without the classifier.
+    surface, ``params`` and ``rng`` included (used by tests to fuzz the
+    state machine with a cheap stub). A scorer passed in counts as
+    pretrained: ``bootstrap`` trains only the scorer the engine builds
+    itself. The adapt_* switches implement the ablation modes: frozen
+    thresholds, frozen scorer, or single-threshold operation without the
+    classifier.
     """
 
     def __init__(
@@ -309,7 +310,11 @@ class OnlineAnomalyDetector:
         return empty
 
     def maybe_retrain(self) -> RetrainReport | None:
-        """Recompute thresholds and retrain both models every full batch."""
+        """Recompute thresholds and retrain both models every full batch.
+
+        A fine-tune that diverges is rolled back to the weights and rng state
+        it started from (note ``scorer_rolled_back``); the retrain goes on.
+        """
         if len(self._labels) < self.config.update_interval:
             return None
         t = self.thresholds
@@ -336,7 +341,15 @@ class OnlineAnomalyDetector:
             if scorer_windows:
                 normal = np.array(self._labels) == Label.NORMAL
                 batch = make_windows(np.asarray(self._rows), t_steps)[normal]
-                self.scorer.train(batch, self.config.scorer.epochs_update)
+                params = {k: v.copy() for k, v in self.scorer.params.items()}
+                rng_state = self.scorer.rng.bit_generator.state
+                try:
+                    self.scorer.train(batch, self.config.scorer.epochs_update)
+                except NonFiniteError as exc:
+                    logger.warning("fine-tune diverged, scorer rolled back: %s", exc)
+                    self.scorer.params.update(params)
+                    self.scorer.rng.bit_generator.state = rng_state
+                    notes.append("scorer_rolled_back")
             else:
                 logger.warning("no pseudo-normal windows this batch; scorer not updated")
                 notes.append("scorer_skipped")

@@ -165,6 +165,7 @@ class LstmVaeScorer:
             gi, gf, go = a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 3 * h_n :]
             c_prev, h_prev = c, h
             c = gf * c_prev
+            # the g slice of ``a`` is spent once copied: it takes i * g
             c += np.multiply(gi, gg, out=a[:, g_slice])
             tc = np.tanh(c)
             h = np.multiply(go, tc, out=h_out)
@@ -174,7 +175,10 @@ class LstmVaeScorer:
 
     def _encode_batch(self, x: np.ndarray, need_cache: bool = True):
         p = self.params
-        x_wx = np.einsum("btd,gd->btg", x, p["enc_wx"]) + p["enc_b"]
+        b, t, d = x.shape
+        # the input projections of every step in one GEMM
+        x_wx = (x.reshape(b * t, d) @ p["enc_wx"].T).reshape(b, t, -1)
+        x_wx += p["enc_b"]
         hs, steps = self._lstm(x_wx.transpose(1, 0, 2), p["enc_wh"], need_cache)
         h = hs[-1]
         mu = h @ p["mu_w"].T + p["mu_b"]
@@ -186,7 +190,10 @@ class LstmVaeScorer:
         z_wx = z @ p["dec_wx"].T + p["dec_b"]
         # the latent is the decoder's input at every step
         hs, steps = self._lstm(np.broadcast_to(z_wx, (t, *z_wx.shape)), p["dec_wh"], need_cache)
-        xhat = np.einsum("tbh,dh->btd", hs, p["out_w"]) + p["out_b"]
+        # batch-major rows, so the output projection is one GEMM into (B, T, D)
+        h_rows = hs.transpose(1, 0, 2).reshape(-1, hs.shape[2])
+        xhat = (h_rows @ p["out_w"].T).reshape(z.shape[0], t, -1)
+        xhat += p["out_b"]
         return xhat, hs, steps
 
     def encode(self, window) -> tuple[np.ndarray, np.ndarray]:
@@ -303,9 +310,10 @@ class LstmVaeScorer:
         grads = {k: np.zeros_like(v) for k, v in p.items()}
 
         dxhat = (2.0 * weight) * diff  # (B,T,D)
-        grads["out_w"] = np.einsum("btd,tbh->dh", dxhat, h_dec)
+        dxhat_rows = dxhat.reshape(-1, dxhat.shape[2])
+        grads["out_w"] = dxhat_rows.T @ h_dec.transpose(1, 0, 2).reshape(-1, h_dec.shape[2])
         grads["out_b"] = dxhat.sum(axis=(0, 1))
-        dh_ext = dxhat @ p["out_w"]  # (B,T,H)
+        dh_ext = (dxhat_rows @ p["out_w"]).reshape(*dxhat.shape[:2], -1)  # (B,T,H)
         # the decoder reads z at every step, so dz sums over the steps
         z_steps = np.broadcast_to(z, (x.shape[1], *z.shape))
         no_dh = np.zeros((x.shape[0], self.config.hidden_size))

@@ -227,6 +227,9 @@ def test_criterion_5_convergence(criterion_report):
 class _StubScorer:
     """Loss equals the first feature of the window's last row."""
 
+    params: dict = {}
+    rng = np.random.default_rng(0)
+
     def score(self, window):
         return float(window[-1][0])
 
@@ -457,6 +460,7 @@ def scenario(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_9_mode_ordering(scenario, criterion_report):
     adaptive = scenario["adaptive"]
     fixed = scenario["fixed-threshold"]
@@ -472,6 +476,7 @@ def test_criterion_9_mode_ordering(scenario, criterion_report):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_training_setting_ordering(scenario, criterion_report):
     adaptive = scenario["adaptive"]
     assert adaptive["spauc"] > scenario["initial-only"]["spauc"]
@@ -483,6 +488,7 @@ def test_criterion_10_training_setting_ordering(scenario, criterion_report):
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(scenario, tmp_path, criterion_report):
     rerun_dir = tmp_path / "adaptive_rerun"
     run_scenario(rerun_dir, "adaptive")

@@ -118,6 +118,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "days split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "split", ["days", {"first": "0.1"}], ids=["split_not_object", "fraction_not_number"]
+    )
+    def test_malformed_split_is_usage_error(self, tmp_path, capsys, split):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"stream": {"split": split, "synthetic": {"n_records": 500}}}
+        ))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert "split" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_matches_run_metrics(self, run_dir, tmp_path):

@@ -23,7 +23,7 @@ from anomstream.errors import (
 from anomstream.forest import ForestConfig
 from anomstream.ingest import StreamRecord, SyntheticConfig, synthetic_stream
 from anomstream.labels import Label
-from anomstream.scorer import ScorerConfig
+from anomstream.scorer import LstmVaeScorer, ScorerConfig
 
 
 class StubScorer:
@@ -35,6 +35,8 @@ class StubScorer:
 
     def __init__(self):
         self.train_calls = []  # (windows, epochs)
+        self.params = {}
+        self.rng = np.random.default_rng(0)
 
     def score(self, window):
         return float(window[-1][0])
@@ -391,6 +393,39 @@ class TestRetraining:
             x, y = fits[k]
             assert np.array_equal(x, np.stack([rows[j] for j in kept]))
             assert y.tolist() == [int(verdicts[j - n0].label) for j in kept]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_fine_tune_is_rolled_back(self):
+        # a real scorer with a huge step size overflows within its first
+        # fine-tune; the retrain restores it and goes on
+        records = [
+            r.to_stream()
+            for r in synthetic_stream(SyntheticConfig(n_records=80, n_features=3), seed=5)
+        ]
+        scorer_cfg = ScorerConfig(
+            timestep=4, n_features=3, hidden_size=4, latent_size=2,
+            learning_rate=1e6, batch_size=4, epochs_update=3, seed=1,
+        )
+        config = EngineConfig(scorer=scorer_cfg, update_interval=20, seed=1)
+        # a scorer passed in counts as pretrained, so bootstrap does not train it
+        engine = OnlineAnomalyDetector(config, scorer=LstmVaeScorer(scorer_cfg))
+        engine.bootstrap(records[:40])
+        for r in records[40:60]:
+            engine.process(r)
+        params = {k: v.copy() for k, v in engine.scorer.params.items()}
+        rng_state = engine.scorer.rng.bit_generator.state
+        report = engine.maybe_retrain()
+        assert report.scorer_windows > 0
+        assert "scorer_rolled_back" in report.notes
+        assert engine.scorer.params.keys() == params.keys()
+        for k, v in params.items():
+            assert np.array_equal(engine.scorer.params[k], v), k
+        assert engine.scorer.rng.bit_generator.state == rng_state
+        assert engine.retrains_done == 1
+        assert engine.maybe_retrain() is None  # the interval was reset
+        verdict = engine.process(records[60])
+        assert verdict.index == records[60].index
+        assert np.isfinite(verdict.loss)
 
 
 class TestRejectedRecords:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomstream.errors import NonFiniteError, ShapeMismatchError
 from anomstream.scorer import (
@@ -186,6 +188,52 @@ class TestLoss:
         batch = s.score_many(wins)
         single = [s.score(w) for w in wins]
         assert batch == pytest.approx(single, rel=1e-12)
+
+
+def textbook_score(params, window, hidden):
+    """Zero-noise loss of one window, written the plain way: one matmul and
+    one ``1 / (1 + exp(-x))`` per gate, gate rows ordered (i, f, g, o)."""
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def lstm(inputs, layer):
+        wx, wh, b = params[f"{layer}_wx"], params[f"{layer}_wh"], params[f"{layer}_b"]
+        gate = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+        h, c, states = np.zeros(hidden), np.zeros(hidden), []
+        for x in inputs:
+            i = sigmoid(wx[gate[0]] @ x + wh[gate[0]] @ h + b[gate[0]])
+            f = sigmoid(wx[gate[1]] @ x + wh[gate[1]] @ h + b[gate[1]])
+            g = np.tanh(wx[gate[2]] @ x + wh[gate[2]] @ h + b[gate[2]])
+            o = sigmoid(wx[gate[3]] @ x + wh[gate[3]] @ h + b[gate[3]])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            states.append(h)
+        return states
+
+    h_enc = lstm(window, "enc")[-1]
+    mu = params["mu_w"] @ h_enc + params["mu_b"]
+    logvar = params["logvar_w"] @ h_enc + params["logvar_b"]
+    xhat = [params["out_w"] @ h + params["out_b"] for h in lstm([mu] * len(window), "dec")]
+    recon = sum(float(np.sum((xh - x) ** 2)) for xh, x in zip(xhat, window))
+    kl = -0.5 * float(np.sum(1.0 + logvar - mu * mu - np.exp(logvar)))
+    return recon + max(kl, 0.0)
+
+
+class TestTextbookReference:
+    @given(
+        st.integers(1, 6), st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_score_and_score_many_match(self, t, d, h, l, seed):
+        s = LstmVaeScorer(
+            ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l, seed=seed)
+        )
+        wins = np.random.default_rng(seed).normal(size=(5, t, d))
+        expected = [textbook_score(s.params, w, h) for w in wins]
+        assert [s.score(w) for w in wins] == pytest.approx(expected, rel=1e-12)
+        assert s.score_many(wins) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGradients:
