@@ -14,12 +14,14 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import dataclasses
 import json
 import logging
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -67,88 +69,113 @@ def _fmt_float(x) -> str:
 # --------------------------------------------------------------------- config
 
 
-_DEFAULT_CONFIG = {
-    "engine": {
-        "p1": 0.98,
-        "p2": 0.10,
-        "abnormal_warmup": 500,
-        "update_interval": 6400,
-        "buffer_capacity": 5000,
-        "seed": 0,
-    },
-    "scorer": {
-        "timestep": 30,
-        "hidden_size": 64,
-        "latent_size": 32,
-        "learning_rate": 1e-3,
-        "batch_size": 32,
-        "epochs_initial": 30,
-        "epochs_update": 5,
-    },
-    "forest": {
-        "n_estimators": 40,
-        "max_depth": 16,
-        "min_samples_split": 2,
-        "max_features": "sqrt",
-    },
-    "stream": {
-        "source": "synthetic",
-        "split": {"kind": "fractions", "first": 0.01, "train": 0.69, "test": 0.30},
-        "synthetic": {"n_records": 100000},
-        "csv": {},
-    },
-}
+def _fits(value, tp) -> bool:
+    """Whether the JSON ``value`` is a ``tp``: an int is a float, a bool is neither."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, t) for t in typing.get_args(tp))
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:  # finite, and an int too large for a float is not one
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, tp)
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _checked(section, where: str, hints: dict) -> dict:
+    """``section`` if it is a JSON object whose keys are in ``hints`` and values of their type."""
+    if not isinstance(section, dict):
+        raise UsageError(f"{where} must be an object, got {section!r}")
+    for key, value in section.items():
+        if key not in hints:
+            raise UsageError(f"unknown key {key!r} in {where}; it takes {list(hints)}")
+        if not _fits(value, hints[key]):
+            name = getattr(hints[key], "__name__", hints[key])
+            raise UsageError(f"{where}.{key} must be {name}, got {value!r}")
+    return section
 
 
-def _load_run_config(args) -> dict:
-    config = copy.deepcopy(_DEFAULT_CONFIG)
+def _build(cls, section, where: str, **derived):
+    """``cls`` from its JSON ``section`` and the ``derived`` fields; defaults are the class's."""
+    hints = typing.get_type_hints(cls)
+    settable = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in derived}
+    try:
+        return cls(**_checked(section, where, settable), **derived)
+    except ValueError as exc:  # a range check in __post_init__
+        raise UsageError(f"{where}: {exc}") from None
+
+
+def _resolve_split(split) -> dict:
+    """``stream.split`` with its defaults filled in, checked before any record is read."""
+    hints = {"kind": str, "first": float | list, "train": float, "test": float | list}
+    split = {"kind": "fractions", "first": 0.01, "train": 0.69, "test": 0.30,
+             **_checked(split, "stream.split", hints)}
+    if split["kind"] == "fractions":
+        if not all(_fits(split[key], float) for key in ("first", "test")):
+            raise UsageError("a fractions split needs finite numbers 'first', 'train' and 'test'")
+        _split_records([], split)  # no records: only split_fractions' own checks run
+    elif split["kind"] == "days":
+        # the fraction defaults are filled in too: a missing list reads as a number
+        days = split["first"], split["test"]
+        if not all(isinstance(d, list) and all(isinstance(day, str) for day in d) for d in days):
+            raise UsageError("a days split needs 'first' and 'test' lists of dates")
+    else:
+        raise UsageError(f"unknown split kind: {split['kind']!r}")
+    return split
+
+
+def _split_records(records, split: dict):
+    if split["kind"] == "days":
+        return ingest.split_days(records, split["first"], split["test"])
+    return ingest.split_fractions(records, split["first"], split["train"], split["test"])
+
+
+@dataclasses.dataclass
+class _RunConfig:
+    """A checked ``run`` config; ``engine.scorer.n_features`` is 1 until the records are read."""
+
+    engine: engine_mod.EngineConfig
+    stream: dict  # "source", "csv", "split", and "synthetic" with its "seed"
+    synthetic: SyntheticConfig
+
+    def to_json(self) -> dict:
+        """Every settable field with its value; reads back as the same config."""
+        engine = dataclasses.asdict(self.engine)
+        scorer, forest = engine.pop("scorer"), engine.pop("forest")
+        del scorer["n_features"]  # the normalizer's, not settable
+        return {"engine": engine, "scorer": scorer, "forest": forest, "stream": self.stream}
+
+
+def _load_run_config(args) -> _RunConfig:
+    """The config file and flags of ``args``, all checked before any record is read."""
+    doc = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        config = _merge(config, json.loads(path.read_text(encoding="utf-8")))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _checked(doc, "config", dict.fromkeys(("engine", "scorer", "forest", "stream"), dict))
+    engine = _build(engine_mod.EngineConfig, doc.get("engine", {}), "engine", scorer=None,
+                    forest=_build(ForestConfig, doc.get("forest", {}), "forest"))
     if args.seed is not None:
-        config["engine"]["seed"] = args.seed
-    if args.csv:
-        config["stream"]["source"] = "csv"
-        config["stream"]["csv"]["path"] = args.csv
-    if args.schema:
-        config["stream"]["csv"]["schema"] = args.schema
-    if args.synthetic:
-        config["stream"]["source"] = "synthetic"
-    return config
+        engine.seed = args.seed
+    # scorer.seed and stream.synthetic.seed default to engine.seed
+    scorer = {"seed": engine.seed, **doc.get("scorer", {})}
+    engine.scorer = _build(ScorerConfig, scorer, "scorer", n_features=1)
 
-
-def _split_records(records, split_cfg):
-    """Split by ``split_cfg``, which ``_DEFAULT_CONFIG`` has filled in."""
-    if not isinstance(split_cfg, dict):
-        raise UsageError(f"stream.split must be an object, got {split_cfg!r}")
-    kind = split_cfg["kind"]
-    if kind == "fractions":
-        fractions = [split_cfg[key] for key in ("first", "train", "test")]
-        if not all(
-            isinstance(f, (int, float)) and not isinstance(f, bool) and math.isfinite(f)
-            for f in fractions
-        ):
-            raise UsageError("a fractions split needs finite numbers 'first', 'train' and 'test'")
-        return ingest.split_fractions(records, *fractions)
-    if kind == "days":
-        # the fraction defaults are merged in too: a missing list reads as a number
-        first, test = split_cfg["first"], split_cfg["test"]
-        if not (isinstance(first, list) and isinstance(test, list)):
-            raise UsageError("a days split needs 'first' and 'test' lists of dates")
-        return ingest.split_days(records, first, test)
-    raise UsageError(f"unknown split kind: {kind!r}")
+    stream = _checked(doc.get("stream", {}), "stream",
+                      {"source": str, "split": dict, "synthetic": dict, "csv": dict})
+    csv_doc = dict(_checked(stream.get("csv", {}), "stream.csv", {"path": str, "schema": str}))
+    csv_doc.update((key, flag) for key, flag in (("path", args.csv), ("schema", args.schema)) if flag)
+    source = "synthetic" if args.synthetic else "csv" if args.csv else stream.get("source", "synthetic")
+    if source not in ("synthetic", "csv"):
+        raise UsageError(f"stream.source must be 'synthetic' or 'csv', got {source!r}")
+    if source == "csv" and not {"path", "schema"} <= csv_doc.keys():
+        raise UsageError("csv source needs both a path and a schema")
+    synthetic = dict(stream.get("synthetic", {}))
+    seed_doc = _checked({"seed": synthetic.pop("seed", engine.seed)}, "stream.synthetic", {"seed": int})
+    synthetic = _build(SyntheticConfig, synthetic, "stream.synthetic")
+    stream = {"source": source, "csv": csv_doc, "split": _resolve_split(stream.get("split", {})),
+              "synthetic": {**dataclasses.asdict(synthetic), **seed_doc}}
+    return _RunConfig(engine, stream, synthetic)
 
 
 # ------------------------------------------------------------------------ run
@@ -223,20 +250,14 @@ def _evaluate_slice(verdicts, scores: np.ndarray, test_records) -> dict | None:
     return metrics_mod.evaluate(list(predicted), list(truth), np.array(slice_scores))
 
 
-def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
-    stream_cfg = config["stream"]
-    if stream_cfg["source"] == "csv":
-        csv_cfg = stream_cfg["csv"]
-        if "path" not in csv_cfg or "schema" not in csv_cfg:
-            raise UsageError("csv source needs both a path and a schema")
-        schema = CsvSchema.from_json(csv_cfg["schema"])
-        records = ingest.load_csv(csv_cfg["path"], schema).records
+def _run_engine(config: _RunConfig, mode: str, out_dir: Path) -> dict | None:
+    if config.stream["source"] == "csv":
+        schema = CsvSchema.from_json(config.stream["csv"]["schema"])
+        records = ingest.load_csv(config.stream["csv"]["path"], schema).records
     else:
-        synth_cfg = dict(stream_cfg["synthetic"])
-        synth_seed = synth_cfg.pop("seed", config["engine"]["seed"])
-        records = ingest.synthetic_stream(SyntheticConfig(**synth_cfg), seed=synth_seed)
+        records = ingest.synthetic_stream(config.synthetic, seed=config.stream["synthetic"]["seed"])
 
-    first, train, test = _split_records(records, stream_cfg["split"])
+    first, train, test = _split_records(records, config.stream["split"])
     if not first or not (train or test):
         raise UsageError("split produced an empty partition")
 
@@ -245,17 +266,8 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
     train_n = ingest.normalize_records(train, normalizer)
     test_n = ingest.normalize_records(test, normalizer)
 
-    seed = config["engine"]["seed"]
-    scorer_over = dict(config["scorer"])
-    scorer_over.pop("n_features", None)  # geometry comes from the normalizer
-    scorer_seed = scorer_over.pop("seed", seed)
-    scorer_cfg = ScorerConfig(
-        n_features=normalizer.n_features, seed=scorer_seed, **scorer_over
-    )
-    forest_cfg = ForestConfig(**config["forest"])
-    engine_cfg = engine_mod.EngineConfig(
-        scorer=scorer_cfg, forest=forest_cfg, **config["engine"]
-    )
+    scorer_cfg = dataclasses.replace(config.engine.scorer, n_features=normalizer.n_features)
+    engine_cfg = dataclasses.replace(config.engine, scorer=scorer_cfg)
 
     recorder = _RunRecorder()
     scorer = None
@@ -301,7 +313,7 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
     if detector.forest is not None:
         save_forest(detector.forest, out_dir / "forest.json")
     (out_dir / "run_config.json").write_text(
-        json.dumps({"mode": mode, **config}, indent=2, sort_keys=True) + "\n",
+        json.dumps({"mode": mode, **config.to_json()}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
@@ -319,10 +331,7 @@ def _run_engine(config: dict, mode: str, out_dir: Path) -> dict | None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_run_config(args)
-    if args.mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {args.mode!r}")
-    report = _run_engine(config, args.mode, Path(args.out))
+    report = _run_engine(_load_run_config(args), args.mode, Path(args.out))
     print(f"run complete: mode={args.mode} out={args.out}")
     if report is not None:
         sys.stdout.write(metrics_mod.report_text(report))
@@ -427,15 +436,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = SyntheticConfig(
-        n_records=args.n,
-        n_features=args.features,
-        anomaly_rate=args.rate,
-        anomaly_shift=args.shift,
-        anomaly_burst=args.burst,
-        drift_magnitude=args.drift,
-        drift_start=args.drift_start,
-    )
+    # flags left out are absent from args, so their defaults are SyntheticConfig's
+    fields = {f.name for f in dataclasses.fields(SyntheticConfig)}
+    config = SyntheticConfig(**{k: v for k, v in vars(args).items() if k in fields})
     records = ingest.synthetic_stream(config, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -468,7 +471,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", help="JSON run config; flags override its values")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--mode", default="adaptive", help=f"one of {', '.join(MODES)}")
+    run.add_argument("--mode", default="adaptive", choices=MODES)
     run.add_argument("--csv", help="feature CSV path (overrides config source)")
     run.add_argument("--schema", dest="schema", help="schema JSON for --csv")
     run.add_argument("--synthetic", action="store_true",
@@ -487,19 +490,20 @@ def _build_parser() -> _Parser:
     ev.add_argument("--truth", required=True)
     ev.set_defaults(func=_cmd_eval)
 
-    synth = sub.add_parser("synth", help="emit a synthetic stream CSV")
+    synth = sub.add_parser("synth", help="emit a synthetic stream CSV",
+                           argument_default=argparse.SUPPRESS)
     synth.add_argument("--out", required=True)
-    synth.add_argument("--n", type=int, default=100000)
-    synth.add_argument("--features", type=int, default=8)
-    synth.add_argument("--rate", type=float, default=0.015)
-    synth.add_argument("--shift", type=float, default=4.0,
+    synth.add_argument("--n", dest="n_records", type=int)
+    synth.add_argument("--features", dest="n_features", type=int)
+    synth.add_argument("--rate", dest="anomaly_rate", type=float)
+    synth.add_argument("--shift", dest="anomaly_shift", type=float,
                        help="anomaly mean shift in standard deviations")
-    synth.add_argument("--burst", type=int, default=1,
+    synth.add_argument("--burst", dest="anomaly_burst", type=int,
                        help="records per anomalous episode")
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--drift", type=float, default=0.0)
-    synth.add_argument("--drift-start", type=float, default=0.5)
-    synth.add_argument("--schema-out")
+    synth.add_argument("--drift", dest="drift_magnitude", type=float)
+    synth.add_argument("--drift-start", type=float)
+    synth.add_argument("--schema-out", default=None)
     synth.set_defaults(func=_cmd_synth)
     return parser
 
@@ -511,10 +515,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidPercentileError as exc:
+    except (UsageError, InvalidPercentileError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteError as exc:
@@ -523,9 +524,6 @@ def main(argv=None) -> int:
     except AnomstreamError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

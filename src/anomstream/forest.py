@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,20 @@ class ForestConfig:
     min_samples_split: int = 2
     max_features: str | int = "sqrt"  # "sqrt", "all", or an explicit count
 
+    def __post_init__(self) -> None:
+        if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_split < 2:
+            raise ValueError("n_estimators and max_depth must be >= 1, min_samples_split >= 2")
+        is_count = isinstance(self.max_features, int) and self.max_features >= 1
+        if not is_count and self.max_features not in ("sqrt", "all"):
+            raise ValueError(f"max_features must be 'sqrt', 'all' or an int >= 1, "
+                             f"got {self.max_features!r}")
+
     def features_per_split(self, n_features: int) -> int:
         if self.max_features == "sqrt":
             return int(math.ceil(math.sqrt(n_features)))
         if self.max_features == "all":
             return n_features
-        return min(int(self.max_features), n_features)
+        return min(self.max_features, n_features)
 
 
 def gini(counts) -> float:
@@ -262,12 +270,7 @@ def save_forest(forest: RandomForest, path) -> None:
         "format_version": _CHECKPOINT_VERSION,
         "n_features": forest.n_features,
         "seed": forest.seed,
-        "config": {
-            "n_estimators": forest.config.n_estimators,
-            "max_depth": forest.config.max_depth,
-            "min_samples_split": forest.config.min_samples_split,
-            "max_features": forest.config.max_features,
-        },
+        "config": asdict(forest.config),
         "trees": [
             {
                 "feature": t.feature.tolist(),

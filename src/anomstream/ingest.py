@@ -64,12 +64,15 @@ class CsvSchema:
         if not path.exists():
             raise MissingFileError(f"schema file not found: {path}")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        label_map = {
-            value: Label.from_name(name)
-            for value, name in doc.get("label_map", {}).items()
-        }
+        features = doc.get("features") if isinstance(doc, dict) else None
+        if not isinstance(features, list) or not all(isinstance(c, str) for c in features):
+            raise SchemaMismatchError(f"schema {path.name} needs a 'features' list of column names")
+        label_map = doc.get("label_map", {})
+        if not isinstance(label_map, dict) or not all(isinstance(n, str) for n in label_map.values()):
+            raise SchemaMismatchError(f"schema {path.name} needs a 'label_map' object of label names")
+        label_map = {value: Label.from_name(name) for value, name in label_map.items()}
         return cls(
-            feature_columns=list(doc["features"]),
+            feature_columns=features,
             label_column=doc.get("label"),
             timestamp_column=doc.get("timestamp"),
             label_map=label_map,
@@ -225,7 +228,7 @@ class SyntheticConfig:
     anomalous fraction stays close to ``anomaly_rate`` either way.
     """
 
-    n_records: int
+    n_records: int = 100000
     n_features: int = 8
     anomaly_rate: float = 0.015
     normal_mean: float = 10.0
@@ -273,9 +276,9 @@ def synthetic_stream(config: SyntheticConfig, seed: int) -> list[FeatureRecord]:
 
 def split_fractions(
     records: Sequence[FeatureRecord],
-    first: float = 0.01,
-    train: float = 0.69,
-    test: float = 0.30,
+    first: float,
+    train: float,
+    test: float,
 ) -> tuple[list[FeatureRecord], list[FeatureRecord], list[FeatureRecord]]:
     """Contiguous first-round/train/test split in stream order."""
     if abs(first + train + test - 1.0) > 1e-9:

@@ -41,11 +41,11 @@ _PARAM_SHAPES = (
 )
 
 
-@dataclass
+@dataclass(kw_only=True)  # so timestep, defaulted, stays first: checkpoints keep their key order
 class ScorerConfig:
     """Geometry and training hyperparameters of the scorer."""
 
-    timestep: int
+    timestep: int = 30
     n_features: int
     hidden_size: int = 64
     latent_size: int = 32
@@ -111,10 +111,6 @@ class LstmVaeScorer:
             self.params[name] = self.rng.uniform(-bound, bound, size=shape)
 
     # ----------------------------------------------------------------- basics
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.params.values())
 
     def _window_rows(self, window) -> np.ndarray:
         rows = np.asarray(window, dtype=float)

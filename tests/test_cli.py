@@ -1,14 +1,26 @@
 """End-to-end tests of the command-line surface on small streams."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomstream.cli import main
+from anomstream.engine import EngineConfig
+from anomstream.forest import ForestConfig
+from anomstream.ingest import SyntheticConfig
+from anomstream.scorer import ScorerConfig
 
 SMALL_RUN_CONFIG = {
     "engine": {
@@ -128,6 +140,99 @@ class TestRun:
         ))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "split" in capsys.readouterr().err
+
+
+def _leaves(doc, path=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _same_json_type(a, b) -> bool:
+    """Whether ``b`` is a valid value where the config holds ``a``."""
+    if isinstance(a, float):  # a number is a float; a non-finite float is not
+        return type(b) in (int, float) and math.isfinite(b)
+    return type(a) is type(b)
+
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.integers(-3, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 5), max_size=2),
+)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"engine": {"update_interval": "10"}},
+            {"engine": {"update_interval": True}},
+            {"engine": {"p1": math.nan}},
+            {"scorer": {"learning_rate": 10**400}},
+            {"engine": {"bogus": 1}},
+            {"engine": "x"},
+            {"scorer": {"hidden_size": "8"}},
+            {"scorer": {"n_features": 3}},
+            {"forest": {"max_features": "log2"}},
+            {"forest": {"max_features": 0}},
+            {"stream": {"synthetic": {"n_records": "500"}}},
+            {"stream": {"synthetic": {"seed": 1.5}}},
+            {"stream": {"source": "Csv"}},
+            {"stream": {"source": "csv", "csv": {"path": "stream.csv"}}},
+            {"stream": {"csv": {"path": 3}}},
+            {"stream": {"split": {"first": 0.5}}},
+            {"bogus": {}},
+            [1],
+        ],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "x").exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_wrong_typed_leaf_is_usage_error(self, data):
+        leaves = list(_leaves(SMALL_RUN_CONFIG))
+        path, value = data.draw(st.sampled_from(leaves))
+        wrong = data.draw(JSON_VALUES.filter(lambda v: not _same_json_type(value, v)))
+        doc = json.loads(json.dumps(SMALL_RUN_CONFIG))
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = wrong
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "x")]) == 1
+        assert stderr.getvalue().startswith("usage error:")
+
+    def test_run_config_round_trip(self, run_dir, tmp_path):
+        doc = json.loads((run_dir / "run_config.json").read_text())
+        assert doc.pop("mode") == "adaptive"
+
+        def settable(cls, *derived):
+            return {f.name for f in dataclasses.fields(cls)} - set(derived)
+
+        assert set(doc["engine"]) == settable(EngineConfig, "scorer", "forest")
+        assert set(doc["scorer"]) == settable(ScorerConfig, "n_features")
+        assert set(doc["forest"]) == settable(ForestConfig)
+        assert set(doc["stream"]["synthetic"]) == settable(SyntheticConfig) | {"seed"}
+        assert doc["scorer"]["seed"] == doc["stream"]["synthetic"]["seed"] == 3
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "again"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("verdicts.csv", "thresholds.csv", "scorer.npz", "forest.json",
+                     "run_config.json"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 class TestEval:

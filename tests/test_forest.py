@@ -58,6 +58,21 @@ def tree_depth(tree: DecisionTree) -> int:
     return int(depth.max())
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_estimators", 0), ("max_depth", 0), ("min_samples_split", 1),
+         ("max_features", 0), ("max_features", "log2"), ("max_features", 2.5)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ForestConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_features", ["sqrt", "all", 1, 7])
+    def test_in_range_accepted(self, max_features):
+        ForestConfig(n_estimators=1, max_depth=1, min_samples_split=2, max_features=max_features)
+
+
 class TestGini:
     def test_pure(self):
         assert gini((10, 0)) == 0.0

@@ -1,5 +1,7 @@
 """Tests for CSV loading, normalization, windowing and synthetic streams."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,25 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "x.csv", "a,b,label\ninf,2,Tor\n1,2,Tor\n")
         result = load_csv(p, SCHEMA)
         assert len(result.records) == 1 and result.rejected == 1
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([1], "features"),
+            ({"feature": ["a", "b"]}, "features"),
+            ({"features": "a"}, "features"),
+            ({"features": ["a", 2]}, "features"),
+            ({"features": ["a"], "label_map": ["normal"]}, "label_map"),
+            ({"features": ["a"], "label_map": {"x": 1}}, "label_map"),
+        ],
+        ids=["not_object", "features_missing", "features_not_list", "feature_not_string",
+             "label_map_not_object", "label_name_not_string"],
+    )
+    def test_malformed_schema_document(self, tmp_path, doc, match):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaMismatchError, match=match):
+            CsvSchema.from_json(path)
 
     def test_schema_round_trip(self, tmp_path):
         path = tmp_path / "schema.json"

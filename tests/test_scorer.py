@@ -51,7 +51,7 @@ class TestInit:
         s = LstmVaeScorer(cfg)
         h, l, d = 64, 32, 3
         expected = 4 * h * (d + h + 1) + 2 * (h * l + l) + 4 * h * (l + h + 1) + (h * d + d)
-        assert s.parameter_count == expected == parameter_count(cfg)
+        assert sum(v.size for v in s.params.values()) == expected == parameter_count(cfg)
 
     def test_reference_geometry_parameter_count(self):
         # the published complexity figure for this architecture (~58.2k
