@@ -77,6 +77,8 @@ def _fits(value, tp) -> bool:
         return tp is bool
     if tp is float:  # finite, and an int too large for a float is not one
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if tp is int:  # numpy takes a geometry or a count only as an int64
+        return isinstance(value, int) and -(2**63) <= value < 2**63
     return isinstance(value, tp)
 
 

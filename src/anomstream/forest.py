@@ -2,8 +2,8 @@
 
 The forest issues the final verdict for samples whose scorer loss falls in
 the uncertain band, and exposes mean-decrease-in-Gini feature importances
-as the interpretability surface. Trees are stored as flat node arrays so
-checkpoints are plain JSON and round-trip exactly.
+as the interpretability surface. The forest is one node table: one walk
+votes every tree, and checkpoints are plain JSON that round-trip exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .labels import Label
 _CHECKPOINT_VERSION = 1
 _NO_CHILD = -1
 _LEAF_FEATURE = -1
+_COLUMNS = {"feature": np.int64, "threshold": float, "left": np.int64, "right": np.int64,
+            "counts": np.int64}
 
 
 @dataclass
@@ -46,49 +48,22 @@ class ForestConfig:
         return min(self.max_features, n_features)
 
 
-def gini(counts) -> float:
-    """CART impurity 1 - sum((c_i / total)^2) of a class-count pair."""
+def gini(counts) -> float | np.ndarray:
+    """CART impurity 1 - sum((c_i / total)^2) of a count pair, or of each row of (n, 2) counts."""
     c = np.asarray(counts, dtype=float)
     if np.any(c < 0):
         raise ValueError("class counts must be non-negative")
-    total = float(c.sum())
-    if total <= 0:
+    total = c.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise EmptyNodeError("cannot compute impurity of an empty node")
     frac = c / total
-    return float(1.0 - np.sum(frac * frac))
+    impurity = 1.0 - np.sum(frac * frac, axis=-1)
+    return float(impurity) if impurity.ndim == 0 else impurity
 
 
-class DecisionTree:
-    """Binary CART tree as parallel node arrays.
-
-    ``feature[i] == -1`` marks a leaf; ``counts[i]`` holds the training
-    class counts (normal, abnormal) observed at node ``i``.
-    """
-
-    def __init__(self, feature, threshold, left, right, counts):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    def leaf_index(self, features: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] != _LEAF_FEATURE:
-            if features[self.feature[node]] < self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return node
-
-    def predict(self, features: np.ndarray) -> Label:
-        counts = self.counts[self.leaf_index(np.asarray(features, dtype=float))]
-        # Equal leaf counts resolve to abnormal, matching the forest tie rule.
-        return Label.ABNORMAL if counts[1] >= counts[0] else Label.NORMAL
+def _abnormal(normal, abnormal):
+    """The tie rule of a leaf's class counts and of the forest vote: ties are abnormal."""
+    return abnormal >= normal
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
@@ -126,8 +101,8 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
 
 
 def build_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-               config: ForestConfig) -> DecisionTree:
-    """Grow one CART tree on (x, y); deterministic given the rng state."""
+               config: ForestConfig) -> RandomForest:
+    """Grow one CART tree on (x, y) as a one-tree forest; deterministic given the rng state."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
@@ -135,11 +110,8 @@ def build_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
     n_features = x.shape[1]
     k = config.features_per_split(n_features)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[tuple[int, int]] = []
+    tree: dict[str, list] = {name: [] for name in _COLUMNS}
+    feature, threshold, left, right, counts = tree.values()
 
     def add_node(idx: np.ndarray) -> int:
         node = len(feature)
@@ -180,19 +152,35 @@ def build_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
     root_idx = np.arange(x.shape[0])
     root = add_node(root_idx)
     grow(root_idx, root, 0)
-    return DecisionTree(feature, threshold, left, right, counts)
+    return _join([tree], config, n_features, seed=-1)
 
 
-@dataclass
+@dataclass(eq=False)
 class RandomForest:
-    trees: list[DecisionTree]
+    """Every tree's nodes in one table; tree ``t`` starts at row ``roots[t]``.
+
+    ``feature[i] == -1`` marks a leaf and ``counts[i]`` holds the training
+    (normal, abnormal) counts at row ``i``. ``left``/``right`` are tree-local:
+    row ``i`` of tree ``t`` has its left child at ``roots[t] + left[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    roots: np.ndarray
     config: ForestConfig
     n_features: int
     seed: int
 
-    @property
-    def n_estimators(self) -> int:
-        return len(self.trees)
+
+def _join(trees, config: ForestConfig, n_features: int, seed: int) -> RandomForest:
+    """One table from per-tree node columns, each tree a mapping of ``_COLUMNS``."""
+    columns = {name: np.concatenate([np.asarray(t[name], dtype=dtype) for t in trees])
+               for name, dtype in _COLUMNS.items()}
+    roots = np.cumsum([0] + [len(t["feature"]) for t in trees[:-1]], dtype=np.int64)
+    return RandomForest(**columns, roots=roots, config=config, n_features=n_features, seed=seed)
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
@@ -221,18 +209,24 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
     for child in base.spawn(config.n_estimators):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
-        trees.append(build_tree(x[boot], y[boot], rng, config))
-    return RandomForest(trees=trees, config=config, n_features=x.shape[1], seed=seed_value)
+        trees.append(vars(build_tree(x[boot], y[boot], rng, config)))
+    return _join(trees, config, x.shape[1], seed_value)
 
 
 def predict(forest: RandomForest, features) -> tuple[Label, tuple[int, int]]:
-    """Majority vote over trees; ties resolve to abnormal."""
-    if forest.n_estimators == 0:
-        raise ValueError("forest has no trees")
+    """Majority vote of all trees, walked together a level per numpy step; ties are abnormal."""
     features = np.asarray(features, dtype=float)
-    abnormal = sum(int(t.predict(features)) for t in forest.trees)
-    normal = forest.n_estimators - abnormal
-    label = Label.ABNORMAL if abnormal >= normal else Label.NORMAL
+    node = forest.roots.copy()
+    inside = np.flatnonzero(forest.feature[node] != _LEAF_FEATURE)
+    while inside.size:
+        at = node[inside]
+        go_left = features[forest.feature[at]] < forest.threshold[at]
+        node[inside] = forest.roots[inside] + np.where(go_left, forest.left[at], forest.right[at])
+        inside = inside[forest.feature[node[inside]] != _LEAF_FEATURE]
+    leaf = forest.counts[node]
+    abnormal = int(np.count_nonzero(_abnormal(leaf[:, 0], leaf[:, 1])))
+    normal = forest.roots.size - abnormal
+    label = Label.ABNORMAL if _abnormal(normal, abnormal) else Label.NORMAL
     return label, (normal, abnormal)
 
 
@@ -244,42 +238,33 @@ def vote_fraction(votes: tuple[int, int]) -> float:
 
 def feature_importances(forest: RandomForest) -> np.ndarray:
     """Mean decrease in Gini per feature, normalized to sum to one."""
+    node_n = forest.counts.sum(axis=1).astype(float)
+    weighted = node_n * gini(forest.counts)
+    split = np.flatnonzero(forest.feature != _LEAF_FEATURE)
+    root = forest.roots[np.searchsorted(forest.roots, split, side="right") - 1]
+    decrease = (
+        weighted[split]
+        - weighted[root + forest.left[split]]
+        - weighted[root + forest.right[split]]
+    ) / node_n[root]
     total = np.zeros(forest.n_features)
-    for tree in forest.trees:
-        node_n = tree.counts.sum(axis=1).astype(float)
-        root_n = node_n[0]
-        for i in range(tree.n_nodes):
-            f = tree.feature[i]
-            if f == _LEAF_FEATURE:
-                continue
-            li, ri = tree.left[i], tree.right[i]
-            decrease = (
-                node_n[i] * gini(tree.counts[i])
-                - node_n[li] * gini(tree.counts[li])
-                - node_n[ri] * gini(tree.counts[ri])
-            ) / root_n
-            total[f] += decrease
-    total /= forest.n_estimators
+    np.add.at(total, forest.feature[split], decrease)
+    total /= forest.roots.size
     s = total.sum()
     return total / s if s > 0 else total
 
 
 def save_forest(forest: RandomForest, path) -> None:
-    """Serialize to JSON node arrays; floats round-trip exactly."""
+    """Serialize to JSON, each tree a slice of the node table; floats round-trip exactly."""
+    ends = np.append(forest.roots[1:], forest.feature.size)
     doc = {
         "format_version": _CHECKPOINT_VERSION,
         "n_features": forest.n_features,
         "seed": forest.seed,
         "config": asdict(forest.config),
         "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "counts": t.counts.tolist(),
-            }
-            for t in forest.trees
+            {name: getattr(forest, name)[start:end].tolist() for name in _COLUMNS}
+            for start, end in zip(forest.roots, ends)
         ],
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -290,11 +275,4 @@ def load_forest(path) -> RandomForest:
     version = doc.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported forest checkpoint version {version}")
-    config = ForestConfig(**doc["config"])
-    trees = [
-        DecisionTree(t["feature"], t["threshold"], t["left"], t["right"], t["counts"])
-        for t in doc["trees"]
-    ]
-    return RandomForest(
-        trees=trees, config=config, n_features=doc["n_features"], seed=doc["seed"]
-    )
+    return _join(doc["trees"], ForestConfig(**doc["config"]), doc["n_features"], doc["seed"])

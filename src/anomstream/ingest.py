@@ -283,6 +283,8 @@ def split_fractions(
     """Contiguous first-round/train/test split in stream order."""
     if abs(first + train + test - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
+    if not all(0.0 <= f <= 1.0 for f in (first, train, test)):
+        raise ValueError(f"split fractions must lie in [0, 1], got {(first, train, test)}")
     n = len(records)
     a = int(round(first * n))
     b = a + int(round(train * n))

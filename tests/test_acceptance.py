@@ -373,7 +373,7 @@ def test_criterion_8_forest_split_oracle(criterion_report):
             y[0] = 1 - y[0]
         tree = build_tree(x, y, np.random.default_rng(ss), ForestConfig(max_features="all"))
         subsets = {0: np.arange(n)}
-        for node in range(tree.n_nodes):
+        for node in range(tree.feature.size):
             if tree.feature[node] == -1:
                 continue
             idx = subsets[node]
@@ -392,10 +392,8 @@ def test_criterion_8_forest_split_oracle(criterion_report):
         # forest determinism per seed on the same draw
         forest_a = fit_forest(x, y, ForestConfig(n_estimators=3, max_depth=3), seed=11)
         forest_b = fit_forest(x, y, ForestConfig(n_estimators=3, max_depth=3), seed=11)
-        for ta, tb in zip(forest_a.trees, forest_b.trees):
-            assert np.array_equal(ta.feature, tb.feature)
-            assert np.array_equal(ta.threshold, tb.threshold)
-            assert np.array_equal(ta.counts, tb.counts)
+        for name in ("feature", "threshold", "left", "right", "counts", "roots"):
+            assert np.array_equal(getattr(forest_a, name), getattr(forest_b, name))
     assert nodes_checked > 100
     criterion_report(8, f"{nodes_checked} split nodes matched the exhaustive oracle over 100 draws")
 

@@ -131,7 +131,9 @@ class TestRun:
         assert "days split" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "split", ["days", {"first": "0.1"}], ids=["split_not_object", "fraction_not_number"]
+        "split",
+        ["days", {"first": "0.1"}, {"first": -0.05, "train": 0.75, "test": 0.30}],
+        ids=["split_not_object", "fraction_not_number", "negative_fraction"],
     )
     def test_malformed_split_is_usage_error(self, tmp_path, capsys, split):
         cfg = tmp_path / "config.json"
@@ -187,6 +189,10 @@ class TestConfig:
             {"stream": {"split": {"first": 0.5}}},
             {"bogus": {}},
             [1],
+            {"scorer": {"batch_size": 0}},
+            {"scorer": {"learning_rate": 0}},
+            {"scorer": {"epochs_update": -1}},
+            {"scorer": {"hidden_size": 10**30}},
         ],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):

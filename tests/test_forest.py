@@ -1,12 +1,16 @@
 """Tests for the CART/random-forest classifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomstream.errors import DegenerateTrainingSetError, EmptyNodeError
 from anomstream.forest import (
-    DecisionTree,
     ForestConfig,
+    RandomForest,
     build_tree,
     feature_importances,
     fit_forest,
@@ -36,10 +40,19 @@ def brute_force_best_weighted_gini(x, y):
     return best
 
 
-def tree_node_subsets(tree: DecisionTree, x: np.ndarray):
-    """Sample-index subsets reaching each node of a fitted tree."""
+TABLE = ("feature", "threshold", "left", "right", "counts", "roots")
+
+
+def assert_same_table(a: RandomForest, b: RandomForest) -> None:
+    for name in TABLE:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+def tree_node_subsets(tree: RandomForest, x: np.ndarray):
+    """Sample-index subsets reaching each node of a one-tree forest."""
     subsets = {0: np.arange(x.shape[0])}
-    for node in range(tree.n_nodes):
+    for node in range(tree.feature.size):
         if tree.feature[node] == -1:
             continue
         idx = subsets[node]
@@ -49,13 +62,90 @@ def tree_node_subsets(tree: DecisionTree, x: np.ndarray):
     return subsets
 
 
-def tree_depth(tree: DecisionTree) -> int:
-    """Longest root-to-leaf path, read from the node arrays (children follow parents)."""
-    depth = np.zeros(tree.n_nodes, dtype=int)
-    for node in range(tree.n_nodes):
+def tree_depth(tree: RandomForest) -> int:
+    """Longest root-to-leaf path of a one-tree forest (children follow parents)."""
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for node in range(tree.feature.size):
         if tree.feature[node] != -1:
             depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
     return int(depth.max())
+
+
+def walk_votes(forest: RandomForest, row: np.ndarray):
+    """Reference vote: one ``while`` walk per tree over its slice of the table."""
+    abnormal = 0
+    for root in forest.roots:
+        node = 0
+        while forest.feature[root + node] != -1:
+            i = root + node
+            if row[forest.feature[i]] < forest.threshold[i]:
+                node = forest.left[i]
+            else:
+                node = forest.right[i]
+        normal_n, abnormal_n = forest.counts[root + node]
+        abnormal += int(abnormal_n >= normal_n)  # a tied leaf votes abnormal
+    normal = forest.roots.size - abnormal
+    return (Label.ABNORMAL if abnormal >= normal else Label.NORMAL), (normal, abnormal)
+
+
+def loop_importances(forest: RandomForest) -> np.ndarray:
+    """Reference importances: a Python loop over every split node of every tree."""
+    total = np.zeros(forest.n_features)
+    ends = [*forest.roots[1:], forest.feature.size]
+    for start, end in zip(forest.roots, ends):
+        feature, left, right, counts = (
+            a[start:end] for a in (forest.feature, forest.left, forest.right, forest.counts)
+        )
+        node_n = counts.sum(axis=1).astype(float)
+        for i in range(feature.size):
+            if feature[i] == -1:
+                continue
+            li, ri = left[i], right[i]
+            total[feature[i]] += (
+                node_n[i] * gini(counts[i])
+                - node_n[li] * gini(counts[li])
+                - node_n[ri] * gini(counts[ri])
+            ) / node_n[0]
+    total /= forest.roots.size
+    s = total.sum()
+    return total / s if s > 0 else total
+
+
+FOREST_CASES = dict(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 40),
+    d=st.integers(1, 5),
+    grid=st.booleans(),  # values on {0, 1, 2}: duplicate rows and tied leaves
+    max_features=st.sampled_from(["sqrt", "all", 1, 2, 3]),
+    max_depth=st.integers(1, 6),
+    min_samples_split=st.integers(2, 45),  # above n, every tree is a single leaf
+    n_estimators=st.integers(1, 7),
+)
+
+# two of its 20 leaves are tied
+TIED_LEAVES = example(seed=1, n=12, d=1, grid=True, max_features="all", max_depth=3,
+                      min_samples_split=2, n_estimators=4)
+# min_samples_split above n: every tree is a single leaf
+SINGLE_LEAF_TREES = example(seed=2, n=5, d=2, grid=False, max_features="sqrt", max_depth=4,
+                            min_samples_split=40, n_estimators=3)
+
+
+def random_forest_case(seed, n, d, grid, max_features, max_depth, min_samples_split,
+                       n_estimators):
+    """A fitted forest and query rows: its training rows, its thresholds and fresh draws."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return rng.integers(0, 3, size=size).astype(float) if grid else rng.normal(size=size)
+
+    x = draw((n, d))
+    y = rng.integers(0, 2, size=n)
+    y[0], y[-1] = 0, 1
+    cfg = ForestConfig(n_estimators=n_estimators, max_depth=max_depth,
+                       min_samples_split=min_samples_split, max_features=max_features)
+    forest = fit_forest(x, y, cfg, seed=seed)
+    on_threshold = np.resize(forest.threshold, (max(1, forest.threshold.size // d), d))
+    return forest, np.vstack([x, on_threshold, draw((20, d))])
 
 
 class TestConfig:
@@ -86,6 +176,14 @@ class TestGini:
     def test_empty_raises(self):
         with pytest.raises(EmptyNodeError):
             gini((0, 0))
+        with pytest.raises(EmptyNodeError):
+            gini(np.array([[1, 2], [0, 0]]))
+
+    def test_rows_of_counts(self):
+        counts = np.array([[10, 0], [5, 5], [3, 1], [2, 7]])
+        rows = gini(counts)
+        assert rows.shape == (4,)
+        assert np.array_equal(rows, [gini(c) for c in counts])
 
 
 class TestBuildTree:
@@ -93,17 +191,18 @@ class TestBuildTree:
         x = np.zeros((5, 2))
         y = np.zeros(5, dtype=int)
         tree = build_tree(x, y, np.random.default_rng(0), ForestConfig(max_features="all"))
-        assert tree.n_nodes == 1
+        assert tree.feature.size == 1
         assert tree.feature[0] == -1
+        assert tree.roots.tolist() == [0] and tree.seed == -1
 
     def test_separable_pair_depth_one(self):
         x = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
         tree = build_tree(x, y, np.random.default_rng(0), ForestConfig(max_features="all"))
-        assert tree.n_nodes == 3
+        assert tree.feature.size == 3
         assert tree_depth(tree) == 1
-        assert tree.predict(np.array([0.0])) is Label.NORMAL
-        assert tree.predict(np.array([1.0])) is Label.ABNORMAL
+        assert predict(tree, np.array([0.0])) == (Label.NORMAL, (1, 0))
+        assert predict(tree, np.array([1.0])) == (Label.ABNORMAL, (0, 1))
 
     def test_splits_match_exhaustive_oracle(self):
         root = np.random.SeedSequence(2718)
@@ -157,10 +256,8 @@ class TestFitForest:
         cfg = ForestConfig(n_estimators=8, max_depth=6)
         a = fit_forest(x, y, cfg, seed=5)
         b = fit_forest(x, y, cfg, seed=5)
-        for ta, tb in zip(a.trees, b.trees):
-            assert np.array_equal(ta.feature, tb.feature)
-            assert np.array_equal(ta.threshold, tb.threshold)
-            assert np.array_equal(ta.counts, tb.counts)
+        assert a.roots.size == 8
+        assert_same_table(a, b)
 
     def test_training_accuracy_on_separable(self):
         x, y = self._separable()
@@ -205,19 +302,26 @@ class TestPredict:
             assert votes[0] + votes[1] == 15
 
     def test_tie_breaks_abnormal(self):
-        counts = [(1, 1)]
-        stump = DecisionTree([-1], [0.0], [-1], [-1], counts)
-        forest_like = fit_forest(
-            np.array([[0.0], [1.0]]), np.array([0, 1]),
-            ForestConfig(n_estimators=2, max_depth=1), seed=0,
+        stumps = RandomForest(
+            feature=np.array([-1, -1]), threshold=np.zeros(2), left=np.array([-1, -1]),
+            right=np.array([-1, -1]), counts=np.array([[1, 1], [1, 1]]), roots=np.array([0, 1]),
+            config=ForestConfig(n_estimators=2, max_depth=1), n_features=1, seed=0,
         )
-        forest_like.trees = [stump, stump]
-        label, votes = predict(forest_like, np.array([0.5]))
+        label, votes = predict(stumps, np.array([0.5]))
         assert votes == (0, 2)  # tied leaves resolve abnormal
         assert label is Label.ABNORMAL
 
     def test_vote_fraction(self):
         assert vote_fraction((30, 10)) == pytest.approx(0.25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**FOREST_CASES)
+    @TIED_LEAVES
+    @SINGLE_LEAF_TREES
+    def test_matches_per_tree_walk(self, **case):
+        forest, rows = random_forest_case(**case)
+        for row in rows:
+            assert predict(forest, row) == walk_votes(forest, row)
 
     def test_monotone_transform_invariance_on_sample(self):
         # order-preserving transform of one feature leaves on-sample
@@ -259,6 +363,16 @@ class TestImportances:
         forest = fit_forest(x, y, ForestConfig(n_estimators=20, max_depth=8), seed=4)
         assert feature_importances(forest)[2] < 0.01
 
+    @settings(max_examples=60, deadline=None)
+    @given(**FOREST_CASES)
+    @TIED_LEAVES
+    @SINGLE_LEAF_TREES
+    def test_matches_per_node_loop(self, **case):
+        forest, _ = random_forest_case(**case)
+        np.testing.assert_allclose(
+            feature_importances(forest), loop_importances(forest), rtol=1e-12, atol=0.0
+        )
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
@@ -271,11 +385,21 @@ class TestCheckpoint:
         loaded = load_forest(path)
         assert loaded.config == forest.config
         assert loaded.n_features == forest.n_features
-        for ta, tb in zip(forest.trees, loaded.trees):
-            assert np.array_equal(ta.feature, tb.feature)
-            assert np.array_equal(ta.threshold, tb.threshold)
-            assert np.array_equal(ta.left, tb.left)
-            assert np.array_equal(ta.right, tb.right)
-            assert np.array_equal(ta.counts, tb.counts)
+        assert loaded.seed == forest.seed
+        assert_same_table(loaded, forest)
         for i in range(len(y)):
             assert predict(loaded, x[i]) == predict(forest, x[i])
+
+    def test_format_v1_bytes_pinned(self, tmp_path):
+        # The digest pins checkpoint format version 1 byte for byte: the key
+        # order, one object per tree, tree-local child indices and float repr.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(60, 4))
+        y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=60) > 0).astype(int)
+        cfg = ForestConfig(n_estimators=5, max_depth=4, min_samples_split=3)
+        path = tmp_path / "forest.json"
+        save_forest(fit_forest(x, y, cfg, seed=17), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "434938f3b850430f9094b188de5fca24ede03dd01a1df24fd6a5b0ff379f0214"
+        save_forest(load_forest(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

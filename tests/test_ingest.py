@@ -233,6 +233,11 @@ class TestSplits:
         with pytest.raises(ValueError):
             split_fractions(make_records(np.zeros((10, 1))), 0.5, 0.1, 0.1)
 
+    @pytest.mark.parametrize("fractions", [(-0.05, 0.75, 0.30), (1.2, -0.1, -0.1)])
+    def test_fractions_must_lie_in_unit_interval(self, fractions):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            split_fractions(make_records(np.zeros((10, 1))), *fractions)
+
     def test_day_split(self):
         records = [
             FeatureRecord(index=i, features=np.zeros(1), timestamp=f"2020-01-0{d} 10:00")

@@ -46,6 +46,16 @@ class TestInit:
         for v in s.params.values():
             assert np.all(np.abs(v) <= bound)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 0), ("epochs_initial", -1), ("epochs_update", -1),
+         ("learning_rate", 0.0), ("learning_rate", math.nan), ("adam_beta1", 1.0),
+         ("adam_beta2", -0.1), ("adam_eps", 0.0)],
+    )
+    def test_training_field_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ScorerConfig(**TOY, **{field: value})
+
     def test_parameter_count_formula(self):
         cfg = ScorerConfig(timestep=5, n_features=3, hidden_size=64, latent_size=32)
         s = LstmVaeScorer(cfg)
