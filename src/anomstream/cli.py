@@ -343,27 +343,37 @@ def _cmd_run(args) -> int:
 # ------------------------------------------------------------------------ fit
 
 
-def _read_column(path: Path, column: str) -> np.ndarray:
+def _table(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV whose header names every one of ``columns``."""
     if not path.exists():
         raise ingest.MissingFileError(f"input file not found: {path}")
-    values = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if not reader.fieldnames or column not in reader.fieldnames:
-            raise ingest.SchemaMismatchError(f"column {column!r} not in {path.name}")
-        for row in reader:
-            cell = row[column]
-            if cell is None or cell.strip() == "":
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ingest.SchemaMismatchError(
-                    f"non-numeric or non-finite value {cell!r} in column {column!r}"
-                )
-            values.append(value)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ingest.SchemaMismatchError(f"column {missing[0]!r} not in {path.name}")
+        return list(reader)
+
+
+def _cell(row: dict, column: str, parse, path: Path):
+    """``parse`` of one cell; a cell it rejects is a data error that names the cell."""
+    cell = row[column] or ""
+    try:
+        return parse(cell)
+    except ValueError:
+        raise ingest.SchemaMismatchError(f"bad {column!r} value {cell!r} in {path.name}") from None
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {cell!r}")
+    return value
+
+
+def _read_column(path: Path, column: str) -> np.ndarray:
+    values = [_cell(row, column, _finite, path) for row in _table(path, (column,))
+              if (row[column] or "").strip()]
     return np.asarray(values, dtype=float)
 
 
@@ -395,34 +405,24 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     verdict_path = Path(args.verdicts)
     truth_path = Path(args.truth)
-    for p in (verdict_path, truth_path):
-        if not p.exists():
-            raise ingest.MissingFileError(f"input file not found: {p}")
-
-    by_index = {}
-    with verdict_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            by_index[int(row["index"])] = row
+    verdict_rows = _table(verdict_path, ("index", "loss", "label"))
+    truth_rows = _table(truth_path, ("index", "label"))
+    by_index = {_cell(row, "index", int, verdict_path): row for row in verdict_rows}
 
     predicted, truth, scores = [], [], []
     missing_score = False
-    with truth_path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if not reader.fieldnames or "index" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise ingest.SchemaMismatchError("truth CSV needs 'index' and 'label' columns")
-        for row in reader:
-            idx = int(row["index"])
-            if idx not in by_index:
-                raise LengthMismatchError(f"truth index {idx} missing from verdict log")
-            v = by_index[idx]
-            predicted.append(Label.from_name(v["label"]))
-            truth.append(Label.from_name(row["label"]))
-            if v.get("score"):
-                scores.append(float(v["score"]))
-            else:
-                missing_score = True
-                scores.append(float(v["loss"]))
+    for row in truth_rows:
+        idx = _cell(row, "index", int, truth_path)
+        if idx not in by_index:
+            raise LengthMismatchError(f"truth index {idx} missing from verdict log")
+        v = by_index[idx]
+        predicted.append(_cell(v, "label", Label.from_name, verdict_path))
+        truth.append(_cell(row, "label", Label.from_name, truth_path))
+        if v.get("score"):
+            scores.append(_cell(v, "score", _finite, verdict_path))
+        else:
+            missing_score = True
+            scores.append(_cell(v, "loss", _finite, verdict_path))
     if not truth:
         raise ingest.EmptyAfterFilteringError("truth CSV has no rows")
     s = np.asarray(scores, dtype=float)

@@ -33,6 +33,10 @@ class EmptyNodeError(AnomstreamError):
     """Impurity requested for a node with zero samples."""
 
 
+class CorruptCheckpointError(AnomstreamError):
+    """A checkpoint file holds a model that cannot be valid."""
+
+
 class DegenerateTrainingSetError(AnomstreamError):
     """Classifier training set does not contain both classes."""
 

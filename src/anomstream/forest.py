@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateTrainingSetError, EmptyNodeError
+from .errors import CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError
 from .labels import Label
 
 _CHECKPOINT_VERSION = 1
@@ -270,9 +270,36 @@ def save_forest(forest: RandomForest, path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _checked_tree(tree, n_features: int) -> dict:
+    """One stored tree's columns as arrays, rejected unless every walk steps forward to a leaf."""
+    try:
+        columns = {name: np.asarray(tree[name], dtype=dtype) for name, dtype in _COLUMNS.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f"unreadable tree columns: {exc}") from None
+    feature, threshold, left, right, counts = columns.values()
+    n = feature.size
+    flat = (feature, threshold, left, right)
+    if n == 0 or counts.shape != (n, 2) or any(c.shape != (n,) for c in flat):
+        raise CorruptCheckpointError("tree columns differ in length or counts are not pairs")
+    leaf = feature == _LEAF_FEATURE
+    at = np.flatnonzero(~leaf)
+    if (np.any(counts < 0) or np.any(feature[at] < 0) or np.any(feature[at] >= n_features)
+            or np.any(np.minimum(left[at], right[at]) <= at)
+            or np.any(np.maximum(left[at], right[at]) >= n)
+            or np.any(left[leaf] != _NO_CHILD) or np.any(right[leaf] != _NO_CHILD)):
+        raise CorruptCheckpointError(
+            "a tree has negative counts, a split feature outside [0, n_features), a child "
+            "not after its node inside the tree, or a leaf with children"
+        )
+    return columns
+
+
 def load_forest(path) -> RandomForest:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported forest checkpoint version {version}")
-    return _join(doc["trees"], ForestConfig(**doc["config"]), doc["n_features"], doc["seed"])
+    trees = [_checked_tree(tree, doc["n_features"]) for tree in doc["trees"]]
+    if not trees:
+        raise CorruptCheckpointError("forest checkpoint holds no tree")
+    return _join(trees, ForestConfig(**doc["config"]), doc["n_features"], doc["seed"])

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeMismatchError
 
 _CHECKPOINT_VERSION = 1
+_SCORE_CHUNK = 512  # windows per ``score_many`` forward pass, bounding its intermediates
 
 # Parameter tensors in a fixed order; gate slices within the 4H axis are
 # (input, forget, cell, output).
@@ -79,12 +80,6 @@ class LossValue:
     kl: float
 
 
-def parameter_count(config: ScorerConfig) -> int:
-    """Total number of scalar parameters for a given geometry."""
-    h, l, d = config.hidden_size, config.latent_size, config.n_features
-    return 4 * h * (d + h + 1) + 2 * (h * l + l) + 4 * h * (l + h + 1) + (h * d + d)
-
-
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Latent draw z = mu + exp(logvar / 2) * noise."""
     mu = np.asarray(mu, dtype=float)
@@ -117,20 +112,20 @@ class LstmVaeScorer:
 
     # ----------------------------------------------------------------- basics
 
-    def _window_rows(self, window) -> np.ndarray:
-        rows = np.asarray(window, dtype=float)
-        t, d = self.config.timestep, self.config.n_features
-        if rows.shape != (t, d):
-            raise ShapeMismatchError(f"window shape {rows.shape}, expected {(t, d)}")
-        return rows
-
     def _stack(self, windows) -> np.ndarray:
-        """The (N, T, D) batch of ``windows`` as one C-contiguous array."""
-        x = np.ascontiguousarray(windows, dtype=float)
+        """``windows`` as one checked (N, T, D) batch; a float64 array batch is not copied."""
+        x = np.asarray(windows, dtype=float)
         t, d = self.config.timestep, self.config.n_features
         if x.ndim != 3 or x.shape[0] == 0 or x.shape[1:] != (t, d):
             raise ShapeMismatchError(f"window batch shape {x.shape}, expected (N, {t}, {d})")
         return x
+
+    def _batch_of_one(self, window, noise) -> tuple[np.ndarray, np.ndarray]:
+        """One ``window`` as a checked batch and its (1, L) noise; ``noise=None`` means zero."""
+        x = self._stack(np.asarray(window, dtype=float)[None])
+        if noise is None:
+            noise = np.zeros(self.config.latent_size)
+        return x, np.asarray(noise, dtype=float)[None]
 
     # --------------------------------------------------------------- forward
 
@@ -197,23 +192,6 @@ class LstmVaeScorer:
         xhat += p["out_b"]
         return xhat, hs, steps
 
-    def encode(self, window) -> tuple[np.ndarray, np.ndarray]:
-        """Latent Gaussian parameters (mu, logvar) of one window."""
-        rows = self._window_rows(window)
-        mu, logvar, _, _ = self._encode_batch(rows[None])
-        return mu[0], logvar[0]
-
-    def decode(self, z: np.ndarray, timesteps: int | None = None) -> np.ndarray:
-        """Reconstruct ``timesteps`` rows from a latent vector."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.config.latent_size,):
-            raise ShapeMismatchError(
-                f"latent shape {z.shape}, expected {(self.config.latent_size,)}"
-            )
-        t = self.config.timestep if timesteps is None else timesteps
-        xhat, _, _ = self._decode_batch(z[None], t)
-        return xhat[0]
-
     def _losses_batch(self, x: np.ndarray, noise: np.ndarray, need_cache: bool = True):
         mu, logvar, h_enc, enc_steps = self._encode_batch(x, need_cache)
         z = reparameterize(mu, logvar, noise)
@@ -230,15 +208,8 @@ class LstmVaeScorer:
 
     def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
         """Negative ELBO of one window; ``noise=None`` means zero noise."""
-        rows = self._window_rows(window)
-        if noise is None:
-            noise = np.zeros(self.config.latent_size)
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (self.config.latent_size,):
-            raise ShapeMismatchError(
-                f"noise shape {noise.shape}, expected {(self.config.latent_size,)}"
-            )
-        recon, kl, _ = self._losses_batch(rows[None], noise[None], need_cache=False)
+        x, noise = self._batch_of_one(window, noise)
+        recon, kl, _ = self._losses_batch(x, noise, need_cache=False)
         total = float(recon[0] + kl[0])
         if not np.isfinite(total):
             raise NonFiniteError("loss overflowed; training has diverged")
@@ -248,13 +219,13 @@ class LstmVaeScorer:
         """Deterministic anomaly score: loss with zero latent noise."""
         return self.loss(window, noise=None).total
 
-    def score_many(self, windows: Sequence, chunk: int = 512) -> np.ndarray:
+    def score_many(self, windows: Sequence) -> np.ndarray:
         """Batched deterministic scores for a sequence of windows."""
         x = self._stack(windows)
         out = np.empty(x.shape[0])
-        zeros = np.zeros((min(chunk, x.shape[0]), self.config.latent_size))
-        for start in range(0, x.shape[0], chunk):
-            part = x[start : start + chunk]
+        zeros = np.zeros((min(_SCORE_CHUNK, x.shape[0]), self.config.latent_size))
+        for start in range(0, x.shape[0], _SCORE_CHUNK):
+            part = x[start : start + _SCORE_CHUNK]
             recon, kl, _ = self._losses_batch(part, zeros[: part.shape[0]], need_cache=False)
             out[start : start + part.shape[0]] = recon + kl
         if not np.all(np.isfinite(out)):
@@ -339,14 +310,10 @@ class LstmVaeScorer:
 
     def loss_and_gradients(self, window, noise: np.ndarray | None = None):
         """Loss of one window plus analytic gradients for every tensor."""
-        rows = self._window_rows(window)
-        if noise is None:
-            noise = np.zeros(self.config.latent_size)
-        noise = np.asarray(noise, dtype=float)
-        recon, kl, cache = self._losses_batch(rows[None], noise[None])
+        x, noise = self._batch_of_one(window, noise)
+        recon, kl, cache = self._losses_batch(x, noise)
         value = LossValue(float(recon[0] + kl[0]), float(recon[0]), float(kl[0]))
-        grads = self._grads_batch(rows[None], cache, weight=1.0)
-        return value, grads
+        return value, self._grads_batch(x, cache, weight=1.0)
 
     # -------------------------------------------------------------- training
 

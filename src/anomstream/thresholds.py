@@ -169,20 +169,6 @@ def _ks_sorted(xs: np.ndarray, fit: DistributionFit) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
 
 
-def ks_statistic(losses, fit: DistributionFit) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of ``fit`` against the sample.
-
-    Uses the discrete evaluation max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)
-    over the sorted sample; the result lies in [0, 1].
-    """
-    xs = np.sort(np.asarray(losses, dtype=float).ravel())
-    if xs.size < 1:
-        raise DegenerateSampleError("KS statistic needs at least one value")
-    if fit.family is DistributionFamily.LOGNORMAL and xs[0] <= 0.0:
-        raise NonPositiveSampleError("lognormal KS requires strictly positive values")
-    return _ks_sorted(xs, fit)
-
-
 def fit_best_distribution(losses) -> DistributionFit:
     """Fit every applicable family and return the one with the smallest KS.
 

@@ -242,7 +242,7 @@ class TestConfig:
 
 
 class TestEval:
-    def test_eval_matches_run_metrics(self, run_dir, tmp_path):
+    def test_eval_matches_run_metrics(self, run_dir, tmp_path, capsys):
         # rebuild the truth for the test slice from the generator
         from anomstream.ingest import SyntheticConfig, synthetic_stream
 
@@ -256,8 +256,10 @@ class TestEval:
             writer.writerow(["index", "label"])
             for r in records[test_start:]:
                 writer.writerow([r.index, r.truth.display])
+        capsys.readouterr()
         assert main(["eval", "--verdicts", str(run_dir / "verdicts.csv"),
                      "--truth", str(truth_path)]) == 0
+        assert capsys.readouterr().out == (run_dir / "metrics.csv").read_text()
 
     def test_eval_perfect_fixture(self, tmp_path, capsys):
         verdicts = tmp_path / "verdicts.csv"
@@ -333,6 +335,39 @@ class TestEval:
         verdicts.write_text("index,loss,route,label,t1,t2,score\n0,1.0,classifier,normal,1,2,0.5\n")
         truth.write_text("index,label\n5,normal\n")
         assert main(["eval", "--verdicts", str(verdicts), "--truth", str(truth)]) == 2
+
+    @pytest.mark.parametrize(
+        "verdict_log, truth_csv, named",
+        [
+            ("loss,route,label,score\n1.0,classifier,normal,0.5\n", "index,label\n0,normal\n",
+             "'index'"),
+            ("index,route,label,score\n0,classifier,normal,0.5\n", "index,label\n0,normal\n",
+             "'loss'"),
+            ("index,loss,route,label\n0.5,1.0,classifier,normal\n", "index,label\n0,normal\n",
+             "'0.5'"),
+            ("index,loss,route,label\n0,1.0,classifier,Tor\n", "index,label\n0,normal\n",
+             "'Tor'"),
+            ("index,loss,route,label,score\n0,1.0,classifier,normal,high\n",
+             "index,label\n0,normal\n", "'high'"),
+            ("index,loss,route,label\n0,nan,classifier,normal\n", "index,label\n0,normal\n",
+             "'nan'"),
+            ("index,loss,route,label\n0,1.0,classifier,normal\n", "index,label\nx,normal\n",
+             "'x'"),
+            ("index,loss,route,label\n0,1.0,classifier,normal\n", "index,label\n0,Tor\n",
+             "'Tor'"),
+        ],
+        ids=["no-index-column", "no-loss-column", "float-index", "unknown-label", "text-score",
+             "nan-loss", "text-truth-index", "unknown-truth-label"],
+    )
+    def test_bad_cell_or_header_is_data_error(self, tmp_path, capsys, verdict_log, truth_csv,
+                                              named):
+        verdicts = tmp_path / "verdicts.csv"
+        truth = tmp_path / "truth.csv"
+        verdicts.write_text(verdict_log)
+        truth.write_text(truth_csv)
+        assert main(["eval", "--verdicts", str(verdicts), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and named in err
 
 
 class TestFit:

@@ -1,13 +1,16 @@
 """Tests for the CART/random-forest classifier."""
 
+import contextlib
 import hashlib
+import json
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anomstream.errors import DegenerateTrainingSetError, EmptyNodeError
+from anomstream.errors import CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError
 from anomstream.forest import (
     ForestConfig,
     RandomForest,
@@ -69,6 +72,22 @@ def tree_depth(tree: RandomForest) -> int:
         if tree.feature[node] != -1:
             depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
     return int(depth.max())
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body once it has run ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def walk_votes(forest: RandomForest, row: np.ndarray):
@@ -403,3 +422,53 @@ class TestCheckpoint:
         assert digest == "434938f3b850430f9094b188de5fca24ede03dd01a1df24fd6a5b0ff379f0214"
         save_forest(load_forest(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    DOC = {"format_version": 1, "n_features": 2, "seed": 0,
+           "config": {"n_estimators": 1, "max_depth": 4, "min_samples_split": 2,
+                      "max_features": "all"}}
+    # root splits on feature 0 into node 1 (a split on feature 1) and leaf 2
+    TREE = {
+        "feature": [0, 1, -1, -1, -1],
+        "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
+        "left": [1, 3, -1, -1, -1],
+        "right": [2, 4, -1, -1, -1],
+        "counts": [[2, 3], [2, 1], [0, 2], [2, 0], [0, 1]],
+    }
+
+    @pytest.mark.parametrize(
+        "column, node, value",
+        [
+            ("left", 0, 0),
+            ("left", 1, 0),
+            ("right", 1, 5),
+            ("feature", 1, 2),
+            ("feature", 1, -2),
+            ("left", 2, 3),
+            ("counts", 4, [0, -1]),
+            ("counts", 4, [0, 1, 1]),
+            ("threshold", None, [0.5, 0.5, 0.0, 0.0]),
+            ("counts", None, [1, 2, 3, 4, 5]),
+        ],
+        ids=["self-loop", "backward-child", "child-past-end", "feature-past-end",
+             "negative-feature", "leaf-with-child", "negative-count", "count-triple",
+             "short-column", "flat-counts"],
+    )
+    def test_malformed_tree_rejected(self, tmp_path, column, node, value):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({**self.DOC, "trees": [self.TREE]}))
+        assert predict(load_forest(path), np.zeros(2)) == (Label.NORMAL, (1, 0))
+        tree = {name: list(cells) for name, cells in self.TREE.items()}
+        if node is None:
+            tree[column] = value
+        else:
+            tree[column][node] = value
+        path.write_text(json.dumps({**self.DOC, "trees": [tree]}))
+        # the deadline turns a walk that never reaches a leaf into a failure
+        with deadline(5), pytest.raises(CorruptCheckpointError):
+            predict(load_forest(path), np.zeros(2))
+
+    def test_forest_without_trees_rejected(self, tmp_path):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({**self.DOC, "trees": []}))
+        with pytest.raises(CorruptCheckpointError):
+            load_forest(path)

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomstream.errors import NonFiniteError, ShapeMismatchError
-from anomstream.scorer import (
-    LstmVaeScorer,
-    ScorerConfig,
-    parameter_count,
-    reparameterize,
-)
+from anomstream.ingest import windows
+from anomstream.scorer import LstmVaeScorer, ScorerConfig, reparameterize
 
 TOY = dict(timestep=3, n_features=2, hidden_size=8, latent_size=4)
 
@@ -61,42 +57,58 @@ class TestInit:
         s = LstmVaeScorer(cfg)
         h, l, d = 64, 32, 3
         expected = 4 * h * (d + h + 1) + 2 * (h * l + l) + 4 * h * (l + h + 1) + (h * d + d)
-        assert sum(v.size for v in s.params.values()) == expected == parameter_count(cfg)
+        assert sum(v.size for v in s.params.values()) == expected
 
     def test_reference_geometry_parameter_count(self):
         # the published complexity figure for this architecture (~58.2k
         # parameters at hidden 64 / latent 32) is matched closest by a
         # 39-feature input: 58,151 parameters, within 0.1%
         cfg = ScorerConfig(timestep=5, n_features=39, hidden_size=64, latent_size=32)
-        count = parameter_count(cfg)
+        count = sum(v.size for v in LstmVaeScorer(cfg).params.values())
         assert count == 58151
         assert abs(count - 58207) / 58207 < 0.002
 
 
 class TestForward:
     def test_zero_weights_encode(self):
+        # mu = logvar = 0 is the only latent with zero KL
         s = zero_scorer()
-        mu, logvar = s.encode(np.ones((3, 2)))
-        assert np.array_equal(mu, np.zeros(4))
-        assert np.array_equal(logvar, np.zeros(4))
+        assert s.loss(np.ones((3, 2)), np.ones(4)).kl == 0.0
 
     def test_zero_weights_decode(self):
+        # a zero decoder reconstructs zeros, so recon is the window's sum of squares
         s = zero_scorer()
-        assert np.array_equal(s.decode(np.ones(4)), np.zeros((3, 2)))
+        assert s.loss(np.ones((3, 2)), np.ones(4)).recon == 6.0
 
     def test_encode_deterministic(self):
         s = toy_scorer(seed=5)
         w = np.random.default_rng(0).normal(size=(3, 2))
-        mu1, lv1 = s.encode(w)
-        mu2, lv2 = s.encode(w)
-        assert np.array_equal(mu1, mu2) and np.array_equal(lv1, lv2)
+        assert s.loss(w, np.full(4, 0.3)) == s.loss(w, np.full(4, 0.3))
 
     def test_shape_mismatch(self):
         s = toy_scorer()
-        with pytest.raises(ShapeMismatchError):
-            s.encode(np.zeros((4, 2)))
-        with pytest.raises(ShapeMismatchError):
-            s.decode(np.zeros(5))
+        w = np.zeros((3, 2))
+        calls = [
+            lambda: s.score(np.zeros((4, 2))),  # wrong T
+            lambda: s.loss(np.zeros((3, 3))),  # wrong D
+            lambda: s.score(w[None]),  # a batch where one window goes
+            lambda: s.score_many(w),  # a window where a batch goes
+            lambda: s.score_many(np.zeros((0, 3, 2))),  # an empty batch
+            lambda: s.score_many(np.zeros((2, 4, 2))),
+            lambda: s.loss(w, np.zeros(5)),  # wrong-shaped noise
+            lambda: s.loss(w, np.zeros((1, 4))),
+            lambda: s.loss_and_gradients(w, np.zeros(3)),
+            lambda: s.train(np.zeros((2, 3, 3)), epochs=1),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatchError):
+                call()
+
+    def test_batch_is_a_view_of_the_rows(self):
+        s = toy_scorer()
+        rows = np.random.default_rng(0).normal(size=(10, 2))
+        batch = s._stack(windows(rows, 3))
+        assert batch.shape == (8, 3, 2) and np.shares_memory(batch, rows)
 
     def test_single_step_equals_hand_computed_cell(self):
         # T=1, 2-unit cell with fixed small weights, checked against a
@@ -115,18 +127,19 @@ class TestForward:
         i, f, g, o = sig(a[0:2]), sig(a[2:4]), np.tanh(a[4:6]), sig(a[6:8])
         c = i * g
         h = o * np.tanh(c)
-        mu_expected = s.params["mu_w"] @ h + s.params["mu_b"]
-        lv_expected = s.params["logvar_w"] @ h + s.params["logvar_b"]
-        mu, lv = s.encode(x)
-        assert mu == pytest.approx(mu_expected, abs=1e-12)
-        assert lv == pytest.approx(lv_expected, abs=1e-12)
+        mu = s.params["mu_w"] @ h + s.params["mu_b"]
+        lv = s.params["logvar_w"] @ h + s.params["logvar_b"]
+        kl_expected = -0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv))
 
-        z = np.array([0.2, -0.1])
+        noise = np.array([0.2, -0.1])
+        z = mu + np.exp(0.5 * lv) * noise
         a = s.params["dec_wx"] @ z + s.params["dec_b"]
         i, f, g, o = sig(a[0:2]), sig(a[2:4]), np.tanh(a[4:6]), sig(a[6:8])
         h = o * np.tanh(i * g)
-        row_expected = s.params["out_w"] @ h + s.params["out_b"]
-        assert s.decode(z, 1)[0] == pytest.approx(row_expected, abs=1e-12)
+        row = s.params["out_w"] @ h + s.params["out_b"]
+        value = s.loss(x, noise)
+        assert value.recon == pytest.approx(np.sum((row - x[0]) ** 2), abs=1e-12)
+        assert value.kl == pytest.approx(kl_expected, abs=1e-12)
 
 
 class TestReparameterize:

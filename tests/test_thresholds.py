@@ -17,13 +17,13 @@ from anomstream.thresholds import (
     DistributionFamily,
     DistributionFit,
     ThresholdPair,
+    _ks_sorted,
     adaptive_threshold,
     cdf,
     fit_best_distribution,
     fit_logistic_mom,
     fit_lognormal_mle,
     fit_normal_mle,
-    ks_statistic,
     pp_points,
     quantile,
     std_normal_quantile,
@@ -141,13 +141,13 @@ class TestMleOptimality:
 class TestKsStatistic:
     def test_single_point(self):
         fit = make_fit(DistributionFamily.NORMAL, 0.0, 1.0)
-        assert ks_statistic([0.0], fit) == pytest.approx(0.5, abs=1e-12)
+        assert _ks_sorted(np.array([0.0]), fit) == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_quantile_grid(self):
         fit = make_fit(DistributionFamily.NORMAL, 3.0, 2.0)
         n = 10
         sample = [quantile(fit, (i - 0.5) / n) for i in range(1, n + 1)]
-        assert ks_statistic(sample, fit) == pytest.approx(0.05, abs=1e-9)
+        assert _ks_sorted(np.array(sample), fit) == pytest.approx(0.05, abs=1e-9)
 
     def test_own_fit_is_close(self):
         rng = np.random.default_rng(12)
@@ -156,20 +156,15 @@ class TestKsStatistic:
         # 0.08 is roughly the 99th percentile of the KS null at n=500
         assert fit.gof < 0.08
 
-    def test_nonpositive_under_lognormal(self):
-        fit = make_fit(DistributionFamily.LOGNORMAL, 0.0, 1.0)
-        with pytest.raises(NonPositiveSampleError):
-            ks_statistic([1.0, -2.0], fit)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_reorder_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(1.0, 2.0, size=64)
-        fit = fit_normal_mle(x)
         shuffled = x.copy()
         rng.shuffle(shuffled)
-        assert ks_statistic(shuffled, fit) == ks_statistic(x, fit)
+        # the moments may differ in the last bit with the summation order
+        assert fit_normal_mle(shuffled).gof == pytest.approx(fit_normal_mle(x).gof, rel=1e-12)
 
 
 class TestBestDistribution:
