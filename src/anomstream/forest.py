@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError
+from .errors import (CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError,
+                     ShapeMismatchError)
 from .labels import Label
 
 _CHECKPOINT_VERSION = 1
@@ -66,38 +67,32 @@ def _abnormal(normal, abnormal):
     return abnormal >= normal
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray):
-    """Exhaustive best (feature, threshold) by weighted child Gini.
+def _best_split(columns: np.ndarray, y: np.ndarray):
+    """Exhaustive best split of a node's (n, k) candidate ``columns`` by weighted child Gini.
 
-    Returns (feature, threshold, weighted_gini) or None when no feature
-    offers a valid boundary. Ties keep the earliest candidate in
-    ``feature_ids`` order, then the lowest threshold.
+    Returns (column, threshold) or None when no column offers a valid
+    boundary. Ties keep the earliest column, then the lowest threshold.
     """
     n = y.shape[0]
-    best = None
-    for f in feature_ids:
-        values = x[:, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = y[order]
-        boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        cum_abn = np.cumsum(ys)
-        n_left = boundaries + 1.0
-        n_right = n - n_left
-        abn_left = cum_abn[boundaries].astype(float)
-        abn_right = cum_abn[-1] - abn_left
-        nor_left = n_left - abn_left
-        nor_right = n_right - abn_right
-        gini_left = 1.0 - (nor_left**2 + abn_left**2) / n_left**2
-        gini_right = 1.0 - (nor_right**2 + abn_right**2) / n_right**2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        k = int(np.argmin(weighted))
-        if best is None or weighted[k] < best[2]:
-            threshold = 0.5 * (vs[boundaries[k]] + vs[boundaries[k] + 1])
-            best = (int(f), float(threshold), float(weighted[k]))
-    return best
+    order = np.argsort(columns, axis=0, kind="stable")
+    vs = columns[order, np.arange(columns.shape[1])]
+    cum_abn = np.cumsum(y[order], axis=0)
+    n_left = np.arange(1.0, n)[:, None]  # a boundary after sorted row i leaves i + 1 rows left
+    n_right = n - n_left
+    abn_left = cum_abn[:-1].astype(float)
+    abn_right = cum_abn[-1] - abn_left
+    nor_left = n_left - abn_left
+    nor_right = n_right - abn_right
+    gini_left = 1.0 - (nor_left**2 + abn_left**2) / n_left**2
+    gini_right = 1.0 - (nor_right**2 + abn_right**2) / n_right**2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    # a boundary lies only between distinct values
+    weighted = np.where(vs[:-1] < vs[1:], weighted, np.inf)
+    # column-major, so the first minimum is the earliest column's lowest threshold
+    column, row = divmod(int(np.argmin(weighted.T)), n - 1)
+    if weighted[row, column] == np.inf:
+        return None
+    return column, float(0.5 * (vs[row, column] + vs[row + 1, column]))
 
 
 def build_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
@@ -119,30 +114,26 @@ def build_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
         threshold.append(0.0)
         left.append(_NO_CHILD)
         right.append(_NO_CHILD)
-        sub = y[idx]
-        counts.append((int(np.sum(sub == 0)), int(np.sum(sub == 1))))
+        abnormal = int(np.count_nonzero(y[idx]))
+        counts.append((idx.size - abnormal, abnormal))
         return node
 
     def grow(idx: np.ndarray, node: int, depth: int) -> None:
-        sub_y = y[idx]
-        if (
-            depth >= config.max_depth
-            or idx.shape[0] < config.min_samples_split
-            or np.all(sub_y == sub_y[0])
-        ):
+        if depth >= config.max_depth or idx.size < config.min_samples_split or 0 in counts[node]:
             return
         if k < n_features:
             candidates = rng.choice(n_features, size=k, replace=False)
         else:
             candidates = np.arange(n_features)
-        found = _best_split(x[idx], sub_y, candidates)
+        columns = x.T[candidates[:, None], idx].T  # (n, k), each column contiguous for the sort
+        found = _best_split(columns, y[idx])
         if found is None:
             return
-        f, thr, _ = found
-        mask = x[idx, f] < thr
+        column, thr = found
+        mask = columns[:, column] < thr
         left_idx = idx[mask]
         right_idx = idx[~mask]
-        feature[node] = f
+        feature[node] = int(candidates[column])
         threshold[node] = thr
         left[node] = add_node(left_idx)
         right[node] = add_node(right_idx)
@@ -194,6 +185,8 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     present = np.unique(y)
+    if np.any((present != 0) & (present != 1)):
+        raise ValueError(f"labels must be 0 (normal) or 1 (abnormal), got {present.tolist()}")
     # before the shape check, so an empty batch of any shape is degenerate
     if present.size < 2:
         raise DegenerateTrainingSetError(
@@ -216,6 +209,8 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
 def predict(forest: RandomForest, features) -> tuple[Label, tuple[int, int]]:
     """Majority vote of all trees, walked together a level per numpy step; ties are abnormal."""
     features = np.asarray(features, dtype=float)
+    if features.shape != (forest.n_features,):
+        raise ShapeMismatchError(f"row shape {features.shape}, expected ({forest.n_features},)")
     node = forest.roots.copy()
     inside = np.flatnonzero(forest.feature[node] != _LEAF_FEATURE)
     while inside.size:
@@ -299,7 +294,10 @@ def load_forest(path) -> RandomForest:
     version = doc.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported forest checkpoint version {version}")
-    trees = [_checked_tree(tree, doc["n_features"]) for tree in doc["trees"]]
+    n_features = doc["n_features"]
+    if type(n_features) is not int or n_features < 1:
+        raise CorruptCheckpointError(f"n_features {n_features!r} is not an int >= 1")
+    trees = [_checked_tree(tree, n_features) for tree in doc["trees"]]
     if not trees:
         raise CorruptCheckpointError("forest checkpoint holds no tree")
-    return _join(trees, ForestConfig(**doc["config"]), doc["n_features"], doc["seed"])
+    return _join(trees, ForestConfig(**doc["config"]), n_features, doc["seed"])

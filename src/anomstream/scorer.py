@@ -14,6 +14,7 @@ checkpoints round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .errors import NonFiniteError, ShapeMismatchError
 
 _CHECKPOINT_VERSION = 1
 _SCORE_CHUNK = 512  # windows per ``score_many`` forward pass, bounding its intermediates
+_MAX_PARAMETERS = 10**8  # 800 MB of float64 weights, before Adam's two copies and the gradients
 
 # Parameter tensors in a fixed order; gate slices within the 4H axis are
 # (input, forget, cell, output).
@@ -69,6 +71,9 @@ class ScorerConfig:
         if not (self.learning_rate > 0 and self.adam_eps > 0
                 and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("learning_rate and adam_eps must be > 0, adam betas in [0, 1)")
+        geometry = (self.hidden_size, self.latent_size, self.timestep, self.n_features)
+        if sum(math.prod(shape(*geometry)) for _, shape in _PARAM_SHAPES) > _MAX_PARAMETERS:
+            raise ValueError(f"the scorer geometry needs more than {_MAX_PARAMETERS} parameters")
 
 
 @dataclass(frozen=True)
@@ -136,16 +141,17 @@ class LstmVaeScorer:
         per-step gate values that ``_lstm_backward`` consumes.
 
         Each step takes all four gates from one ``tanh`` over the 4H
-        pre-activation, by sigmoid(x) = (1 + tanh(x / 2)) / 2: the i, f and o
-        slices are halved before the ``tanh`` and mapped by (1 + y) / 2 after
-        it, the g slice is left as it is. Halving is exact, so each gate is
+        pre-activation, by sigmoid(x) = tanh(x / 2) / 2 + 1 / 2: the i, f and o
+        slices are halved before the ``tanh`` and after it, then shifted by 1/2;
+        the g slice is left as it is. Halving is exact, so each gate is
         bit-identical to a sigmoid or tanh taken on its own slice.
         """
         t, b, _ = xw.shape
         h_n = self.config.hidden_size
-        g_slice = slice(2 * h_n, 3 * h_n)
-        scale = np.full(4 * h_n, 0.5)
-        scale[g_slice] = 1.0
+        # (B, 4H), not one broadcast row: same-shape operands take numpy's single-loop fast path
+        scale = np.full((b, 4 * h_n), 0.5)
+        scale[:, 2 * h_n : 3 * h_n] = 1.0
+        shift = 1.0 - scale
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
         hs = np.empty((t, b, h_n))
@@ -155,14 +161,13 @@ class LstmVaeScorer:
             a += xw_t
             a *= scale
             np.tanh(a, out=a)
-            gg = a[:, g_slice].copy()
-            a += 1.0
-            a *= 0.5
-            gi, gf, go = a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 3 * h_n :]
+            a *= scale
+            a += shift
+            gi, gf = a[:, :h_n], a[:, h_n : 2 * h_n]
+            gg, go = a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
             c_prev, h_prev = c, h
             c = gf * c_prev
-            # the g slice of ``a`` is spent once copied: it takes i * g
-            c += np.multiply(gi, gg, out=a[:, g_slice])
+            c += gi * gg
             tc = np.tanh(c)
             h = np.multiply(go, tc, out=h_out)
             if need_cache:
@@ -339,8 +344,7 @@ class LstmVaeScorer:
                 xb = x[idx]
                 noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
                 recon, kl, cache = self._losses_batch(xb, noise)
-                mean_loss = float(np.mean(recon + kl))
-                if not np.isfinite(mean_loss):
+                if not np.isfinite(np.mean(recon + kl)):
                     raise NonFiniteError("training diverged to a non-finite loss")
                 grads = self._grads_batch(xb, cache, weight=1.0 / xb.shape[0])
                 step += 1
@@ -352,6 +356,7 @@ class LstmVaeScorer:
                     self.params[k] -= (
                         cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.adam_eps)
                     )
+                del cache, grads  # before the next forward: one minibatch's BPTT cache at a time
         return self
 
     # ------------------------------------------------------------ checkpoint

@@ -193,6 +193,7 @@ class TestConfig:
             {"scorer": {"learning_rate": 0}},
             {"scorer": {"epochs_update": -1}},
             {"scorer": {"hidden_size": 10**30}},
+            {"scorer": {"hidden_size": 10**9}},
         ],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anomstream.errors import CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError
+from anomstream.errors import (
+    CorruptCheckpointError,
+    DegenerateTrainingSetError,
+    EmptyNodeError,
+    ShapeMismatchError,
+)
 from anomstream.forest import (
     ForestConfig,
     RandomForest,
@@ -130,6 +135,63 @@ def loop_importances(forest: RandomForest) -> np.ndarray:
     return total / s if s > 0 else total
 
 
+def column_loop_tree(x, y, rng, config: ForestConfig) -> dict:
+    """Reference CART growth: each node gathers all its rows and sorts one candidate at a time."""
+    n_features = x.shape[1]
+    k = config.features_per_split(n_features)
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "counts": []}
+
+    def best_split(xs, ys_node, feature_ids):
+        n, best = ys_node.shape[0], None
+        for f in feature_ids:
+            order = np.argsort(xs[:, f], kind="stable")
+            vs, ys = xs[order, f], ys_node[order]
+            boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
+            if boundaries.size == 0:
+                continue
+            cum_abn = np.cumsum(ys)
+            n_left = boundaries + 1.0
+            n_right = n - n_left
+            abn_left = cum_abn[boundaries].astype(float)
+            abn_right = cum_abn[-1] - abn_left
+            nor_left, nor_right = n_left - abn_left, n_right - abn_right
+            gini_left = 1.0 - (nor_left**2 + abn_left**2) / n_left**2
+            gini_right = 1.0 - (nor_right**2 + abn_right**2) / n_right**2
+            weighted = (n_left * gini_left + n_right * gini_right) / n
+            j = int(np.argmin(weighted))
+            if best is None or weighted[j] < best[2]:
+                best = (int(f), 0.5 * (vs[boundaries[j]] + vs[boundaries[j] + 1]), weighted[j])
+        return best
+
+    def add_node(idx):
+        for name, value in zip(tree, (-1, 0.0, -1, -1)):
+            tree[name].append(value)
+        tree["counts"].append((int(np.sum(y[idx] == 0)), int(np.sum(y[idx] == 1))))
+        return len(tree["feature"]) - 1
+
+    def grow(idx, node, depth):
+        if depth >= config.max_depth or idx.size < config.min_samples_split or np.all(
+                y[idx] == y[idx][0]):
+            return
+        if k < n_features:
+            candidates = rng.choice(n_features, size=k, replace=False)
+        else:
+            candidates = np.arange(n_features)
+        found = best_split(x[idx], y[idx], candidates)
+        if found is None:
+            return
+        f, thr, _ = found
+        mask = x[idx, f] < thr
+        tree["feature"][node], tree["threshold"][node] = f, thr
+        tree["left"][node] = add_node(idx[mask])
+        tree["right"][node] = add_node(idx[~mask])
+        grow(idx[mask], tree["left"][node], depth + 1)
+        grow(idx[~mask], tree["right"][node], depth + 1)
+
+    grow(np.arange(x.shape[0]), add_node(np.arange(x.shape[0])), 0)
+    return tree
+
+
 FOREST_CASES = dict(
     seed=st.integers(0, 2**16),
     n=st.integers(2, 40),
@@ -247,6 +309,34 @@ class TestBuildTree:
                 optimal = brute_force_best_weighted_gini(x[idx], y[idx])
                 assert achieved == pytest.approx(optimal, abs=1e-12)
 
+    def test_tie_keeps_earliest_candidate(self):
+        # both features split the root purely; feature 1's boundary is the lower row
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([0, 0, 0, 1])
+        tree = build_tree(x, y, np.random.default_rng(0), ForestConfig(max_features="all"))
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        swapped = build_tree(x[:, ::-1], y, np.random.default_rng(0),
+                             ForestConfig(max_features="all"))
+        assert (swapped.feature[0], swapped.threshold[0]) == (0, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**FOREST_CASES)
+    @TIED_LEAVES
+    def test_matches_per_column_search(self, **case):
+        # one (n, k) sort per node picks the very split, threshold bits and
+        # tie the per-candidate loop picks, from the same rng draws
+        rng = np.random.default_rng(case["seed"])
+        n, d = case["n"], case["d"]
+        x = rng.integers(0, 3, size=(n, d)).astype(float) if case["grid"] else rng.normal(
+            size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        cfg = ForestConfig(max_depth=case["max_depth"], max_features=case["max_features"],
+                           min_samples_split=case["min_samples_split"])
+        tree = build_tree(x, y, np.random.default_rng(case["seed"]), cfg)
+        expected = column_loop_tree(x, y, np.random.default_rng(case["seed"]), cfg)
+        for name, column in expected.items():
+            assert np.array_equal(getattr(tree, name), np.asarray(column)), name
+
     def test_max_depth_respected(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(200, 3))
@@ -300,6 +390,11 @@ class TestFitForest:
         with pytest.raises(DegenerateTrainingSetError, match="nothing"):
             fit_forest(np.asarray([]), np.asarray([]), ForestConfig(n_estimators=2), seed=0)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 1, -1, 1], [2, 2, 2, 2]])
+    def test_label_outside_binary_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0"):
+            fit_forest(np.arange(8.0).reshape(4, 2), np.array(labels), seed=0)
+
 
 class TestPredict:
     def test_unanimous_normal(self):
@@ -329,6 +424,17 @@ class TestPredict:
         label, votes = predict(stumps, np.array([0.5]))
         assert votes == (0, 2)  # tied leaves resolve abnormal
         assert label is Label.ABNORMAL
+
+    @pytest.mark.parametrize("width", [0, 2, 5])
+    def test_wrong_width_rejected(self, width):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 3))
+        y = (x[:, 0] > 0).astype(int)
+        forest = fit_forest(x, y, ForestConfig(n_estimators=3, max_depth=3), seed=0)
+        with pytest.raises(ShapeMismatchError, match=r"expected \(3,\)"):
+            predict(forest, np.zeros(width))
+        with pytest.raises(ShapeMismatchError):
+            predict(forest, np.zeros((1, 3)))
 
     def test_vote_fraction(self):
         assert vote_fraction((30, 10)) == pytest.approx(0.25)
@@ -471,4 +577,13 @@ class TestCheckpoint:
         path = tmp_path / "forest.json"
         path.write_text(json.dumps({**self.DOC, "trees": []}))
         with pytest.raises(CorruptCheckpointError):
+            load_forest(path)
+
+    @pytest.mark.parametrize("n_features", [0, -1, "2", 1.5, None])
+    def test_bad_n_features_rejected(self, tmp_path, n_features):
+        path = tmp_path / "forest.json"
+        leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                "counts": [[1, 0]]}
+        path.write_text(json.dumps({**self.DOC, "n_features": n_features, "trees": [leaf]}))
+        with pytest.raises(CorruptCheckpointError, match="n_features"):
             load_forest(path)

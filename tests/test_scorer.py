@@ -1,6 +1,7 @@
 """Tests for the LSTM-VAE scorer: forward math, gradients, training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestInit:
     def test_training_field_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
             ScorerConfig(**TOY, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("hidden_size", 10**9), ("n_features", 10**7),
+                                              ("latent_size", 10**8)])
+    def test_geometry_over_parameter_cap_rejected(self, field, value):
+        # rejected by the config, before any tensor is allocated
+        with pytest.raises(ValueError, match="parameters"):
+            ScorerConfig(**{**TOY, field: value})
 
     def test_parameter_count_formula(self):
         cfg = ScorerConfig(timestep=5, n_features=3, hidden_size=64, latent_size=32)
@@ -325,6 +333,22 @@ class TestTraining:
             runs.append({k: v.copy() for k, v in s.params.items()})
         for k in runs[0]:
             assert np.array_equal(runs[0][k], runs[1][k])
+
+    def test_training_holds_one_minibatch_cache(self):
+        # three minibatches must peak like one: each minibatch's forward cache
+        # and gradients are freed before the next minibatch's forward starts
+        def train_peak(n_windows):
+            s = LstmVaeScorer(ScorerConfig(timestep=10, n_features=4, hidden_size=16,
+                                           latent_size=4, batch_size=32, seed=5))
+            x = np.random.default_rng(6).uniform(size=(n_windows, 10, 4))
+            tracemalloc.start()
+            try:
+                s.train(x, epochs=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert train_peak(96) <= 1.2 * train_peak(32)
 
     def test_score_monotone_under_scaling(self):
         rng = np.random.default_rng(8)
