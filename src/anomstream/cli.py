@@ -46,8 +46,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MODES = ("adaptive", "fixed-threshold", "scorer-only", "initial-only", "offline")
-
 VERDICT_COLUMNS = ("index", "loss", "route", "label", "t1", "t2", "score")
 
 
@@ -159,6 +157,8 @@ def _load_run_config(args) -> _RunConfig:
                     forest=_build(ForestConfig, doc.get("forest", {}), "forest"))
     if args.seed is not None:
         engine.seed = args.seed
+    if args.mode is not None:
+        engine.mode = args.mode
     # scorer.seed and stream.synthetic.seed default to engine.seed
     scorer = {"seed": engine.seed, **doc.get("scorer", {})}
     engine.scorer = _build(ScorerConfig, scorer, "scorer", n_features=1)
@@ -252,7 +252,7 @@ def _evaluate_slice(verdicts, scores: np.ndarray, test_records) -> dict | None:
     return metrics_mod.evaluate(list(predicted), list(truth), np.array(slice_scores))
 
 
-def _run_engine(config: _RunConfig, mode: str, out_dir: Path) -> dict | None:
+def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     if config.stream["source"] == "csv":
         schema = CsvSchema.from_json(config.stream["csv"]["schema"])
         records = ingest.load_csv(config.stream["csv"]["path"], schema).records
@@ -273,30 +273,15 @@ def _run_engine(config: _RunConfig, mode: str, out_dir: Path) -> dict | None:
 
     recorder = _RunRecorder()
     scorer = None
-    adapt_thresholds = adapt_scorer = two_layer = True
-    if mode == "fixed-threshold":
-        adapt_thresholds = False
-    elif mode == "scorer-only":
-        two_layer = False
-    elif mode == "initial-only":
-        adapt_scorer = False
-    elif mode == "offline":
+    if engine_cfg.mode == "offline":
         scorer = LstmVaeScorer(scorer_cfg)
         offline_windows = ingest.windows(
             np.asarray([r.features for r in first_n + train_n]), scorer_cfg.timestep
         )
         logger.info("offline pretraining on %d windows", len(offline_windows))
         scorer.train(offline_windows, scorer_cfg.epochs_initial)
-        adapt_scorer = False
 
-    detector = engine_mod.OnlineAnomalyDetector(
-        engine_cfg,
-        scorer=scorer,
-        adapt_thresholds=adapt_thresholds,
-        adapt_scorer=adapt_scorer,
-        two_layer=two_layer,
-        sink=recorder.sink,
-    )
+    detector = engine_mod.OnlineAnomalyDetector(engine_cfg, scorer=scorer, sink=recorder.sink)
     detector.bootstrap([r.to_stream() for r in first_n])
     recorder.threshold_rows.append(
         (0, "bootstrap", detector.thresholds.t1, detector.thresholds.t2)
@@ -315,7 +300,7 @@ def _run_engine(config: _RunConfig, mode: str, out_dir: Path) -> dict | None:
     if detector.forest is not None:
         save_forest(detector.forest, out_dir / "forest.json")
     (out_dir / "run_config.json").write_text(
-        json.dumps({"mode": mode, **config.to_json()}, indent=2, sort_keys=True) + "\n",
+        json.dumps(config.to_json(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
@@ -333,8 +318,9 @@ def _run_engine(config: _RunConfig, mode: str, out_dir: Path) -> dict | None:
 
 
 def _cmd_run(args) -> int:
-    report = _run_engine(_load_run_config(args), args.mode, Path(args.out))
-    print(f"run complete: mode={args.mode} out={args.out}")
+    config = _load_run_config(args)
+    report = _run_engine(config, Path(args.out))
+    print(f"run complete: mode={config.engine.mode} out={args.out}")
     if report is not None:
         sys.stdout.write(metrics_mod.report_text(report))
     return EXIT_OK
@@ -473,7 +459,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", help="JSON run config; flags override its values")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--mode", default="adaptive", choices=MODES)
+    run.add_argument("--mode", default=None, choices=engine_mod.MODES,
+                     help="overrides the config's engine.mode")
     run.add_argument("--csv", help="feature CSV path (overrides config source)")
     run.add_argument("--schema", dest="schema", help="schema JSON for --csv")
     run.add_argument("--synthetic", action="store_true",

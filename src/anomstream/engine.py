@@ -38,6 +38,10 @@ from .thresholds import ThresholdPair, adaptive_threshold
 
 logger = logging.getLogger(__name__)
 
+# the paper's full detector, then its ablations: frozen thresholds, no
+# classifier, no scorer updates, and a scorer pretrained offline and frozen
+MODES = ("adaptive", "fixed-threshold", "scorer-only", "initial-only", "offline")
+
 
 class Phase(Enum):
     INITIAL = "initial"
@@ -98,8 +102,11 @@ class EngineConfig:
     update_interval: int = 6400  # samples between threshold/model updates
     buffer_capacity: int = 5000
     seed: int = 0
+    mode: str = "adaptive"  # one of MODES
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
@@ -139,9 +146,8 @@ class OnlineAnomalyDetector:
     surface, ``params`` and ``rng`` included (used by tests to fuzz the
     state machine with a cheap stub). A scorer passed in counts as
     pretrained: ``bootstrap`` trains only the scorer the engine builds
-    itself. The adapt_* switches implement the ablation modes: frozen
-    thresholds, frozen scorer, or single-threshold operation without the
-    classifier.
+    itself. ``config.mode`` selects the detector or one of its ablations
+    (see ``MODES``); ``offline`` needs a scorer passed in.
     """
 
     def __init__(
@@ -149,17 +155,13 @@ class OnlineAnomalyDetector:
         config: EngineConfig,
         scorer=None,
         *,
-        adapt_thresholds: bool = True,
-        adapt_scorer: bool = True,
-        two_layer: bool = True,
         sink: Callable[[EngineEvent], None] | None = None,
     ):
+        if config.mode == "offline" and scorer is None:
+            raise ValueError("offline mode needs a pretrained scorer")
         self.config = config
         self._pretrained = scorer is not None
         self.scorer = scorer if scorer is not None else LstmVaeScorer(config.scorer)
-        self.adapt_thresholds = adapt_thresholds
-        self.adapt_scorer = adapt_scorer
-        self.two_layer = two_layer
         self._sink = sink
 
         self.normal_losses = LossBuffer(config.buffer_capacity)
@@ -276,10 +278,10 @@ class OnlineAnomalyDetector:
         """Switch to dual-threshold operation once abnormal losses suffice.
 
         Flips at most once, computing the initial T2 at that moment; if the
-        abnormal losses cannot be fitted, T2 <- T1. With ``two_layer``
-        disabled the engine stays single-threshold forever.
+        abnormal losses cannot be fitted, T2 <- T1. In ``scorer-only`` mode
+        the engine stays single-threshold forever.
         """
-        if not self.two_layer or self.phase is not Phase.INITIAL:
+        if self.config.mode == "scorer-only" or self.phase is not Phase.INITIAL:
             return False
         if len(self.abnormal_losses) < self.config.abnormal_warmup:
             return False
@@ -320,7 +322,7 @@ class OnlineAnomalyDetector:
         t = self.thresholds
         notes: list[str] = []
 
-        if self.adapt_thresholds:
+        if self.config.mode != "fixed-threshold":
             # a threshold that cannot be refitted keeps its previous value
             t1_fit = self._refit(self.normal_losses, self.config.p1, "T1")
             if t1_fit is None:
@@ -337,7 +339,7 @@ class OnlineAnomalyDetector:
 
         t_steps = self.config.scorer.timestep
         scorer_windows = self._labels.count(Label.NORMAL)
-        if self.adapt_scorer:
+        if self.config.mode not in ("initial-only", "offline"):
             if scorer_windows:
                 normal = np.array(self._labels) == Label.NORMAL
                 batch = make_windows(np.asarray(self._rows), t_steps)[normal]
@@ -356,7 +358,7 @@ class OnlineAnomalyDetector:
 
         forest_samples = len(self._routes) - self._routes.count(Route.CLASSIFIER)
         forest_trained = False
-        if self.two_layer and self.phase is Phase.STEADY:
+        if self.phase is Phase.STEADY:
             kept = np.array(self._routes) != Route.CLASSIFIER
             try:
                 self.forest = fit_forest(

@@ -291,13 +291,24 @@ def _checked_tree(tree, n_features: int) -> dict:
 
 def load_forest(path) -> RandomForest:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise CorruptCheckpointError("forest checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported forest checkpoint version {version}")
-    n_features = doc["n_features"]
+    missing = [key for key in ("trees", "n_features", "seed", "config") if key not in doc]
+    if missing:
+        raise CorruptCheckpointError(f"forest checkpoint lacks {missing}")
+    n_features, seed = doc["n_features"], doc["seed"]
     if type(n_features) is not int or n_features < 1:
         raise CorruptCheckpointError(f"n_features {n_features!r} is not an int >= 1")
+    if type(seed) is not int:
+        raise CorruptCheckpointError(f"seed {seed!r} is not an int")
+    if not isinstance(doc["trees"], list) or not doc["trees"]:
+        raise CorruptCheckpointError("forest checkpoint holds no list of trees")
+    try:
+        config = ForestConfig(**doc["config"])
+    except (TypeError, ValueError) as exc:  # not a mapping, an unknown key, a bad value
+        raise CorruptCheckpointError(f"bad forest config: {exc}") from None
     trees = [_checked_tree(tree, n_features) for tree in doc["trees"]]
-    if not trees:
-        raise CorruptCheckpointError("forest checkpoint holds no tree")
-    return _join(trees, ForestConfig(**doc["config"]), n_features, doc["seed"])
+    return _join(trees, config, n_features, seed)

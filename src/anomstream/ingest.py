@@ -70,7 +70,10 @@ class CsvSchema:
         label_map = doc.get("label_map", {})
         if not isinstance(label_map, dict) or not all(isinstance(n, str) for n in label_map.values()):
             raise SchemaMismatchError(f"schema {path.name} needs a 'label_map' object of label names")
-        label_map = {value: Label.from_name(name) for value, name in label_map.items()}
+        try:
+            label_map = {value: Label.from_name(name) for value, name in label_map.items()}
+        except ValueError as exc:
+            raise SchemaMismatchError(f"schema {path.name} 'label_map': {exc}") from None
         return cls(
             feature_columns=features,
             label_column=doc.get("label"),
@@ -239,12 +242,21 @@ class SyntheticConfig:
     drift_magnitude: float = 0.0
     drift_start: float = 0.5
 
+    def __post_init__(self) -> None:
+        # each test is written to fail on NaN too
+        if not (self.n_records >= 1 and self.n_features >= 1 and self.anomaly_burst >= 1):
+            raise ValueError("n_records, n_features and anomaly_burst must be >= 1")
+        if not (0.0 <= self.anomaly_rate <= 1.0 and 0.0 <= self.drift_start <= 1.0):
+            raise ValueError("anomaly_rate and drift_start must lie in [0, 1]")
+        if not (self.normal_std > 0.0 and self.anomaly_std_scale > 0.0):
+            raise ValueError("normal_std and anomaly_std_scale must be > 0")
+
 
 def synthetic_stream(config: SyntheticConfig, seed: int) -> list[FeatureRecord]:
     """Seeded synthetic stream with truth labels attached."""
     rng = np.random.default_rng(seed)
     n, d = config.n_records, config.n_features
-    burst = max(1, config.anomaly_burst)
+    burst = config.anomaly_burst
     if burst == 1:
         is_abnormal = rng.random(n) < config.anomaly_rate
     else:

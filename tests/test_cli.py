@@ -194,6 +194,18 @@ class TestConfig:
             {"scorer": {"epochs_update": -1}},
             {"scorer": {"hidden_size": 10**30}},
             {"scorer": {"hidden_size": 10**9}},
+            {"engine": {"mode": "bogus"}},
+            {"stream": {"synthetic": {"n_records": -1}}},
+            {"stream": {"synthetic": {"n_records": 0}}},
+            {"stream": {"synthetic": {"n_features": 0}}},
+            {"stream": {"synthetic": {"anomaly_rate": 1.5}}},
+            {"stream": {"synthetic": {"anomaly_rate": -0.1}}},
+            {"stream": {"synthetic": {"normal_std": 0}}},
+            {"stream": {"synthetic": {"normal_std": -1.0}}},
+            {"stream": {"synthetic": {"anomaly_std_scale": 0}}},
+            {"stream": {"synthetic": {"anomaly_burst": 0}}},
+            {"stream": {"synthetic": {"drift_start": 1.5}}},
+            {"stream": {"synthetic": {"drift_start": -0.5}}},
         ],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):
@@ -223,7 +235,7 @@ class TestConfig:
 
     def test_run_config_round_trip(self, run_dir, tmp_path):
         doc = json.loads((run_dir / "run_config.json").read_text())
-        assert doc.pop("mode") == "adaptive"
+        assert doc["engine"]["mode"] == "adaptive"
 
         def settable(cls, *derived):
             return {f.name for f in dataclasses.fields(cls)} - set(derived)
@@ -240,6 +252,18 @@ class TestConfig:
         for name in ("verdicts.csv", "thresholds.csv", "scorer.npz", "forest.json",
                      "run_config.json"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_mode_flag_overrides_config(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SMALL_RUN_CONFIG))
+        doc["engine"]["mode"] = "fixed-threshold"
+        doc["stream"]["synthetic"]["n_records"] = 1000
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        for flag, mode in (([], "fixed-threshold"), (["--mode", "adaptive"], "adaptive")):
+            out = tmp_path / mode
+            assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 0
+            assert json.loads((out / "run_config.json").read_text())["engine"]["mode"] == mode
+            assert f"mode={mode} " in capsys.readouterr().out
 
 
 class TestEval:
@@ -417,6 +441,18 @@ class TestFit:
 
 
 class TestSynth:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--features", "0"], ["--n", "-1"], ["--rate", "nan"], ["--burst", "0"],
+         ["--drift-start", "2"]],
+        ids=["no_features", "negative_n", "nan_rate", "zero_burst", "drift_start_past_end"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "stream.csv"
+        assert main(["synth", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_writes_csv_and_schema(self, tmp_path):
         out = tmp_path / "stream.csv"
         schema = tmp_path / "schema.json"

@@ -67,7 +67,7 @@ def stub_engine(
     timestep=2,
     sink=None,
     forest=None,
-    **kwargs,
+    mode="adaptive",
 ):
     config = EngineConfig(
         scorer=ScorerConfig(timestep=timestep, n_features=2, hidden_size=4, latent_size=2),
@@ -78,8 +78,9 @@ def stub_engine(
         update_interval=interval,
         buffer_capacity=capacity,
         seed=1,
+        mode=mode,
     )
-    engine = OnlineAnomalyDetector(config, scorer=StubScorer(), sink=sink, **kwargs)
+    engine = OnlineAnomalyDetector(config, scorer=StubScorer(), sink=sink)
     engine.bootstrap(records_from_losses(first_losses))
     return engine
 
@@ -108,6 +109,18 @@ class TestEngineConfig:
     def test_rejects_percentile_outside_open_unit_interval(self, name, value):
         with pytest.raises(ValueError, match=name):
             EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
+
+    @pytest.mark.parametrize("mode", ["bogus", "Adaptive", ""])
+    def test_rejects_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="mode"):
+            EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), mode=mode)
+
+    def test_offline_needs_a_scorer(self):
+        config = EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), mode="offline")
+        with pytest.raises(ValueError, match="offline"):
+            OnlineAnomalyDetector(config)
+        stub = StubScorer()
+        assert OnlineAnomalyDetector(config, scorer=stub).scorer is stub
 
 
 class TestBootstrap:
@@ -295,7 +308,7 @@ class TestRetraining:
     def test_frozen_thresholds_mode(self):
         engine = stub_engine(
             bootstrap_losses(np.random.default_rng(1)), interval=10,
-            adapt_thresholds=False,
+            mode="fixed-threshold",
         )
         t1 = engine.thresholds.t1
         rng = np.random.default_rng(4)
@@ -308,7 +321,7 @@ class TestRetraining:
 
     def test_frozen_scorer_mode(self):
         engine = stub_engine(
-            bootstrap_losses(np.random.default_rng(1)), interval=10, adapt_scorer=False,
+            bootstrap_losses(np.random.default_rng(1)), interval=10, mode="initial-only",
         )
         t1 = engine.thresholds.t1
         for i in range(10):
@@ -318,7 +331,7 @@ class TestRetraining:
 
     def test_single_threshold_mode_never_transitions(self):
         engine = stub_engine(
-            bootstrap_losses(np.random.default_rng(1)), warmup=3, two_layer=False,
+            bootstrap_losses(np.random.default_rng(1)), warmup=3, mode="scorer-only",
         )
         t1 = engine.thresholds.t1
         for i in range(10):

@@ -587,3 +587,30 @@ class TestCheckpoint:
         path.write_text(json.dumps({**self.DOC, "n_features": n_features, "trees": [leaf]}))
         with pytest.raises(CorruptCheckpointError, match="n_features"):
             load_forest(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: [doc], "JSON object"),
+            (lambda doc: "forest", "JSON object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "trees"}, "trees"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "n_features"}, "n_features"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "seed"}, "seed"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "config"}, "config"),
+            (lambda doc: {**doc, "trees": 3}, "trees"),
+            (lambda doc: {**doc, "seed": "x"}, "seed"),
+            (lambda doc: {**doc, "seed": 1.5}, "seed"),
+            (lambda doc: {**doc, "config": [1]}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "bogus": 1}}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "max_depth": 0}}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "n_estimators": "x"}}, "config"),
+        ],
+        ids=["list", "string", "no-trees", "no-n_features", "no-seed", "no-config",
+             "trees-not-list", "str-seed", "float-seed", "config-not-object",
+             "config-unknown-key", "config-zero-depth", "config-str-count"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps(edit({**self.DOC, "trees": [self.TREE]})))
+        with pytest.raises(CorruptCheckpointError, match=match):
+            load_forest(path)

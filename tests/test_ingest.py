@@ -90,9 +90,10 @@ class TestLoadCsv:
             ({"features": ["a", 2]}, "features"),
             ({"features": ["a"], "label_map": ["normal"]}, "label_map"),
             ({"features": ["a"], "label_map": {"x": 1}}, "label_map"),
+            ({"features": ["a"], "label_map": {"normal": "bogus"}}, "label_map"),
         ],
         ids=["not_object", "features_missing", "features_not_list", "feature_not_string",
-             "label_map_not_object", "label_name_not_string"],
+             "label_map_not_object", "label_name_not_string", "unknown_label_name"],
     )
     def test_malformed_schema_document(self, tmp_path, doc, match):
         path = tmp_path / "schema.json"
