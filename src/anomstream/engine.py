@@ -54,6 +54,9 @@ class Route(Enum):
     CLASSIFIER = "classifier"
 
 
+_ROUTE_CODES = {route: code for code, route in enumerate(Route)}  # a route as an int8
+
+
 @dataclass(frozen=True)
 class Verdict:
     """One routed record; ``t1``/``t2`` are the thresholds it was routed by."""
@@ -142,9 +145,9 @@ EngineEvent = Verdict | RetrainReport | PhaseTransitionEvent
 class OnlineAnomalyDetector:
     """Two-layer online detector with self-adapting thresholds.
 
-    ``scorer`` may be any object with the LstmVaeScorer scoring/training
-    surface, ``params`` and ``rng`` included (used by tests to fuzz the
-    state machine with a cheap stub). A scorer passed in counts as
+    ``scorer`` may be any object with the LstmVaeScorer scoring, streaming
+    and training surface, ``params`` and ``rng`` included (used by tests to
+    fuzz the state machine with a cheap stub). A scorer passed in counts as
     pretrained: ``bootstrap`` trains only the scorer the engine builds
     itself. ``config.mode`` selects the detector or one of its ablations
     (see ``MODES``); ``offline`` needs a scorer passed in.
@@ -171,11 +174,19 @@ class OnlineAnomalyDetector:
         self.samples_seen = 0
         self.retrains_done = 0
 
-        # the pending interval: the timestep - 1 feature rows before it, then
-        # one row, one label and one route per pending record
-        self._rows: list[np.ndarray] = []
-        self._labels: list[Label] = []
-        self._routes: list[Route] = []
+        # the pending interval: _rows[:timestep - 1] holds the feature rows
+        # before it, then one row per pending record; _labels and _routes
+        # hold each pending record's label and route code. The arrays double
+        # when full and keep their size across retrains.
+        self._rows = np.empty((0, config.scorer.n_features))
+        self._labels = np.empty(0, dtype=np.int8)
+        self._routes = np.empty(0, dtype=np.int8)
+        # pending records, and how many were labelled normal and routed to the
+        # classifier: counted as they come, since counting the arrays in
+        # maybe_retrain costs a noticeable share of a pause without a fine-tune
+        self._pending = self._normal = self._classified = 0
+        # the encoder states of the windows in flight, rebuilt whenever the weights change
+        self._encoders = None
         self._forest_seeds = np.random.SeedSequence(config.seed)
 
     # ------------------------------------------------------------- lifecycle
@@ -202,9 +213,9 @@ class OnlineAnomalyDetector:
         seed the normal buffer. A record of the wrong width or with a
         non-finite feature is rejected before any state or scorer changes.
         """
-        features = [self._checked_features(record) for record in first_round]
+        features = np.asarray([self._checked_features(record) for record in first_round])
         t = self.config.scorer.timestep
-        first_windows = make_windows(np.asarray(features), t)
+        first_windows = make_windows(features, t)
         if len(first_windows) < 2:
             raise InsufficientDataError(
                 f"first round yields {len(first_windows)} windows, need at least 2"
@@ -222,7 +233,17 @@ class OnlineAnomalyDetector:
             ) from exc
         self.normal_losses.extend(losses)
         self._install(t1, fit, None, None)
-        self._rows = features[len(features) - (t - 1) :]
+        self._rows = features[len(features) - (t - 1) :].copy()
+        self._labels = np.empty(0, dtype=np.int8)
+        self._routes = np.empty(0, dtype=np.int8)
+        self._pending = self._normal = self._classified = 0
+        self._prime()
+
+    def _prime(self) -> None:
+        """Encode the windows in flight afresh from the last T - 1 rows."""
+        self._encoders = self.scorer.encoder_states()
+        rows = self._rows[self._pending : self._pending + self.config.scorer.timestep - 1]
+        self.scorer.prime(self._encoders, rows, self.samples_seen)
 
     # -------------------------------------------------------------- routing
 
@@ -245,8 +266,20 @@ class OnlineAnomalyDetector:
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
         features = self._checked_features(record)
-        self._rows.append(features)
-        loss = self.scorer.score(np.stack(self._rows[-self.config.scorer.timestep :]))
+        k, t_steps = self._pending, self.config.scorer.timestep
+        if k == len(self._labels):  # full: double the capacity
+            self._rows, self._labels, self._routes = (
+                np.concatenate([a, np.empty((max(k, 1), *a.shape[1:]), dtype=a.dtype)])
+                for a in (self._rows, self._labels, self._routes)
+            )
+        self._rows[t_steps - 1 + k] = features
+        try:
+            loss = self.scorer.score_stream(
+                self._encoders, self._rows[k : t_steps + k], self.samples_seen
+            )
+        except NonFiniteError:
+            self._prime()  # the step advanced the windows in flight: undo it
+            raise
         t = self.thresholds
 
         # t2 is None exactly in the single-threshold phase
@@ -266,8 +299,11 @@ class OnlineAnomalyDetector:
                 midpoint = 0.5 * (t.t1 + t.t2)
                 label = Label.NORMAL if loss <= midpoint else Label.ABNORMAL
         verdict = Verdict(record.index, label, route, loss, t.t1, t.t2, votes)
-        self._labels.append(label)
-        self._routes.append(route)
+        self._labels[k] = label
+        self._routes[k] = _ROUTE_CODES[route]
+        self._pending += 1
+        self._normal += label is Label.NORMAL
+        self._classified += route is Route.CLASSIFIER
 
         self.samples_seen += 1
         self._emit(verdict)
@@ -316,11 +352,17 @@ class OnlineAnomalyDetector:
 
         A fine-tune that diverges is rolled back to the weights and rng state
         it started from (note ``scorer_rolled_back``); the retrain goes on.
+        After any fine-tune the windows in flight are re-encoded.
         """
-        if len(self._labels) < self.config.update_interval:
+        k = self._pending
+        if k < self.config.update_interval:
             return None
         t = self.thresholds
         notes: list[str] = []
+        t_steps = self.config.scorer.timestep
+        rows = self._rows[: t_steps - 1 + k]
+        labels = self._labels[:k]
+        scorer_windows, forest_samples = self._normal, k - self._classified
 
         if self.config.mode != "fixed-threshold":
             # a threshold that cannot be refitted keeps its previous value
@@ -337,14 +379,14 @@ class OnlineAnomalyDetector:
             if self._install(t1, fit_n, t2, fit_a):
                 notes.append("empty_uncertain_band")
 
-        t_steps = self.config.scorer.timestep
-        scorer_windows = self._labels.count(Label.NORMAL)
+        fine_tuned = False
         if self.config.mode not in ("initial-only", "offline"):
             if scorer_windows:
-                normal = np.array(self._labels) == Label.NORMAL
-                batch = make_windows(np.asarray(self._rows), t_steps)[normal]
-                params = {k: v.copy() for k, v in self.scorer.params.items()}
+                batch = make_windows(rows, t_steps)[labels == Label.NORMAL]
+                params = {name: v.copy() for name, v in self.scorer.params.items()}
                 rng_state = self.scorer.rng.bit_generator.state
+                fine_tuned = True
+                self._encoders = None  # stale from here on; not held through the fine-tune
                 try:
                     self.scorer.train(batch, self.config.scorer.epochs_update)
                 except NonFiniteError as exc:
@@ -356,14 +398,13 @@ class OnlineAnomalyDetector:
                 logger.warning("no pseudo-normal windows this batch; scorer not updated")
                 notes.append("scorer_skipped")
 
-        forest_samples = len(self._routes) - self._routes.count(Route.CLASSIFIER)
         forest_trained = False
         if self.phase is Phase.STEADY:
-            kept = np.array(self._routes) != Route.CLASSIFIER
+            kept = self._routes[:k] != _ROUTE_CODES[Route.CLASSIFIER]
             try:
                 self.forest = fit_forest(
-                    np.asarray(self._rows[t_steps - 1 :], dtype=float)[kept],
-                    np.array(self._labels, dtype=np.int64)[kept],
+                    rows[t_steps - 1 :][kept],
+                    labels[kept].astype(np.int64),
                     self.config.forest,
                     seed=self._forest_seeds.spawn(1)[0],
                 )
@@ -372,9 +413,10 @@ class OnlineAnomalyDetector:
                 logger.warning("keeping previous forest: %s", exc)
                 notes.append("forest_skipped")
 
-        self._rows = self._rows[len(self._rows) - (t_steps - 1) :]
-        self._labels.clear()
-        self._routes.clear()
+        self._rows[: t_steps - 1] = rows[k:]
+        self._pending = self._normal = self._classified = 0
+        if fine_tuned:
+            self._prime()
         self.retrains_done += 1
         report = RetrainReport(
             index=self.retrains_done,

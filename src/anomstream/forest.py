@@ -290,12 +290,15 @@ def _checked_tree(tree, n_features: int) -> dict:
 
 
 def load_forest(path) -> RandomForest:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON
+        raise CorruptCheckpointError(f"forest checkpoint is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptCheckpointError("forest checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported forest checkpoint version {version}")
+        raise CorruptCheckpointError(f"unsupported forest checkpoint version {version!r}")
     missing = [key for key in ("trees", "n_features", "seed", "config") if key not in doc]
     if missing:
         raise CorruptCheckpointError(f"forest checkpoint lacks {missing}")

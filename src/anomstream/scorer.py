@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import CorruptCheckpointError, NonFiniteError, ShapeMismatchError
 
 _CHECKPOINT_VERSION = 1
 _SCORE_CHUNK = 512  # windows per ``score_many`` forward pass, bounding its intermediates
@@ -139,39 +140,28 @@ class LstmVaeScorer:
 
         Returns the (T, B, H) hidden states and, with ``need_cache``, the
         per-step gate values that ``_lstm_backward`` consumes.
-
-        Each step takes all four gates from one ``tanh`` over the 4H
-        pre-activation, by sigmoid(x) = tanh(x / 2) / 2 + 1 / 2: the i, f and o
-        slices are halved before the ``tanh`` and after it, then shifted by 1/2;
-        the g slice is left as it is. Halving is exact, so each gate is
-        bit-identical to a sigmoid or tanh taken on its own slice.
         """
         t, b, _ = xw.shape
         h_n = self.config.hidden_size
-        # (B, 4H), not one broadcast row: same-shape operands take numpy's single-loop fast path
-        scale = np.full((b, 4 * h_n), 0.5)
-        scale[:, 2 * h_n : 3 * h_n] = 1.0
-        shift = 1.0 - scale
+        scale, shift = _gate_affine(b, h_n)
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
+        tc = np.empty((b, h_n))
         hs = np.empty((t, b, h_n))
+        # a cached step keeps its own gates, c and tanh(c); scoring overwrites one set
+        buffer = None if need_cache else np.empty((b, 4 * h_n))
         steps = [] if need_cache else None
+        wh_t = wh.T
         for xw_t, h_out in zip(xw, hs):
-            a = h @ wh.T
+            a = np.matmul(h, wh_t, out=buffer)
             a += xw_t
-            a *= scale
-            np.tanh(a, out=a)
-            a *= scale
-            a += shift
-            gi, gf = a[:, :h_n], a[:, h_n : 2 * h_n]
-            gg, go = a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
             c_prev, h_prev = c, h
-            c = gf * c_prev
-            c += gi * gg
-            tc = np.tanh(c)
-            h = np.multiply(go, tc, out=h_out)
             if need_cache:
-                steps.append((gi, gf, gg, go, c_prev, h_prev, tc))
+                c, tc = np.empty((b, h_n)), np.empty((b, h_n))
+            gates = _cell(a, c_prev, c, tc, h_out, scale, shift)
+            h = h_out
+            if need_cache:
+                steps.append((*gates, c_prev, h_prev, tc))
         return hs, steps
 
     def _encode_batch(self, x: np.ndarray, need_cache: bool = True):
@@ -181,10 +171,7 @@ class LstmVaeScorer:
         x_wx = (x.reshape(b * t, d) @ p["enc_wx"].T).reshape(b, t, -1)
         x_wx += p["enc_b"]
         hs, steps = self._lstm(x_wx.transpose(1, 0, 2), p["enc_wh"], need_cache)
-        h = hs[-1]
-        mu = h @ p["mu_w"].T + p["mu_b"]
-        logvar = h @ p["logvar_w"].T + p["logvar_b"]
-        return mu, logvar, h, steps
+        return hs[-1], steps
 
     def _decode_batch(self, z: np.ndarray, t: int, need_cache: bool = True):
         p = self.params
@@ -198,7 +185,18 @@ class LstmVaeScorer:
         return xhat, hs, steps
 
     def _losses_batch(self, x: np.ndarray, noise: np.ndarray, need_cache: bool = True):
-        mu, logvar, h_enc, enc_steps = self._encode_batch(x, need_cache)
+        h_enc, enc_steps = self._encode_batch(x, need_cache)
+        recon, kl, tail = self._tail(x, h_enc, noise, need_cache)
+        return recon, kl, (h_enc, enc_steps, tail)
+
+    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray, need_cache: bool):
+        """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
+
+        Raises ``NonFiniteError`` on a negative KL term or a non-finite loss.
+        """
+        p = self.params
+        mu = h_enc @ p["mu_w"].T + p["mu_b"]
+        logvar = h_enc @ p["logvar_w"].T + p["logvar_b"]
         z = reparameterize(mu, logvar, noise)
         xhat, h_dec, dec_steps = self._decode_batch(z, x.shape[1], need_cache)
         diff = xhat - x
@@ -208,17 +206,15 @@ class LstmVaeScorer:
         if np.any(kl < -1e-9):
             raise NonFiniteError("KL term is negative; loss computation is invalid")
         kl = np.maximum(kl, 0.0)
-        cache = (mu, logvar, z, xhat, diff, h_enc, enc_steps, h_dec, dec_steps)
-        return recon, kl, cache
+        if not np.all(np.isfinite(recon + kl)):
+            raise NonFiniteError("non-finite loss; the scorer has diverged")
+        return recon, kl, (mu, logvar, z, diff, h_dec, dec_steps)
 
     def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
         """Negative ELBO of one window; ``noise=None`` means zero noise."""
         x, noise = self._batch_of_one(window, noise)
         recon, kl, _ = self._losses_batch(x, noise, need_cache=False)
-        total = float(recon[0] + kl[0])
-        if not np.isfinite(total):
-            raise NonFiniteError("loss overflowed; training has diverged")
-        return LossValue(total=total, recon=float(recon[0]), kl=float(kl[0]))
+        return LossValue(total=float(recon[0] + kl[0]), recon=float(recon[0]), kl=float(kl[0]))
 
     def score(self, window) -> float:
         """Deterministic anomaly score: loss with zero latent noise."""
@@ -233,28 +229,75 @@ class LstmVaeScorer:
             part = x[start : start + _SCORE_CHUNK]
             recon, kl, _ = self._losses_batch(part, zeros[: part.shape[0]], need_cache=False)
             out[start : start + part.shape[0]] = recon + kl
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError("non-finite score encountered")
         return out
+
+    # ------------------------------------------------------------- streaming
+
+    def encoder_states(self) -> "EncoderStates":
+        """Fresh in-flight encoder states for ``prime`` and ``score_stream``."""
+        return EncoderStates(self.config.timestep, self.config.hidden_size)
+
+    def _advance(self, states: "EncoderStates", row: np.ndarray, position: int) -> None:
+        """Feed the row at stream ``position`` to every window in flight in one T-row step.
+
+        The slot of the window that starts with this row, the one ending at
+        ``position + T - 1``, is zeroed first; it last held the window that
+        ended at ``position - 1``.
+        """
+        p = self.params
+        slot = (position - 1) % self.config.timestep
+        states.h[slot] = 0.0
+        states.c[slot] = 0.0
+        np.matmul(states.h, p["enc_wh"].T, out=states.a)
+        np.matmul(row, p["enc_wx"].T, out=states.xw)
+        states.xw += p["enc_b"]
+        states.a += states.xw
+        _cell(states.a, states.c, states.c, states.tc, states.h, states.scale, states.shift)
+
+    def prime(self, states: "EncoderStates", rows: np.ndarray, position: int) -> None:
+        """Rebuild ``states`` from ``rows``, the T - 1 rows before stream ``position``.
+
+        Every slot runs in its fixed position, so the rebuilt windows hold the
+        same bits as a stream that ran through those rows without a break,
+        whatever the slots held before.
+        """
+        start = position - len(rows)
+        for k, row in enumerate(rows):
+            self._advance(states, row, start + k)
+
+    def score_stream(self, states: "EncoderStates", window, position: int) -> float:
+        """``score`` of the window ending at stream ``position``, whose last row is new.
+
+        That row advances every window in flight (see ``prime``); the window
+        it completes is then decoded and scored.
+        """
+        x = self._stack(np.asarray(window, dtype=float)[None])
+        self._advance(states, x[0, -1], position)
+        h_enc = states.h[position % self.config.timestep][None]
+        recon, kl, _ = self._tail(x, h_enc, np.zeros((1, self.config.latent_size)), False)
+        return float(recon[0] + kl[0])
 
     # -------------------------------------------------------------- backward
 
     def _lstm_backward(self, grads, layer: str, x: np.ndarray, steps,
-                       dh_steps: np.ndarray | None, dh_last: np.ndarray,
-                       need_dx: bool = False):
+                       dh_steps: np.ndarray | None, dh_last: np.ndarray):
         """Backpropagate through one LSTM layer run by ``_lstm``.
 
-        ``x`` holds the layer's time-major (T, B, In) inputs, ``dh_steps``
-        the (T, B, H) upstream gradient on each step's hidden state (None
-        when only the last state feeds on) and ``dh_last`` the gradient on
-        the final hidden state. The ``layer``'s weight gradients are added
-        into ``grads``; with ``need_dx`` the input gradient summed over the
-        steps is returned.
+        ``x`` holds the layer's time-major (T, B, In) inputs, or its one
+        (B, In) input when the layer reads the same input at every step.
+        ``dh_steps`` is the (T, B, H) upstream gradient on each step's hidden
+        state (None when only the last state feeds on) and ``dh_last`` the
+        gradient on the final hidden state. The ``layer``'s weight gradients
+        are added into ``grads``. For a (B, In) input the pre-activation
+        gradients are summed over the steps first, so its input weights, bias
+        and input take one product each after the loop, and the input
+        gradient is returned.
         """
         p = self.params
         wx, wh = p[f"{layer}_wx"], p[f"{layer}_wh"]
         g_wx, g_wh, g_b = grads[f"{layer}_wx"], grads[f"{layer}_wh"], grads[f"{layer}_b"]
-        dx = np.zeros(x.shape[1:]) if need_dx else None
+        per_step = x.ndim == 3
+        da_sum = None if per_step else np.zeros((x.shape[0], wx.shape[0]))
         dh_rec = dh_last
         dc_rec = np.zeros_like(dh_last)
         for step in range(len(steps) - 1, -1, -1):
@@ -271,32 +314,34 @@ class LstmVaeScorer:
                 ],
                 axis=1,
             )
-            g_wx += da.T @ x[step]
+            if per_step:
+                g_wx += da.T @ x[step]
+                g_b += da.sum(axis=0)
+            else:
+                da_sum += da
             g_wh += da.T @ h_prev
-            g_b += da.sum(axis=0)
-            if need_dx:
-                dx += da @ wx
             dh_rec = da @ wh
             dc_rec = dc * gf
-        return dx
+        if per_step:
+            return None
+        g_wx += da_sum.T @ x
+        g_b += da_sum.sum(axis=0)
+        return da_sum @ wx
 
     def _grads_batch(self, x: np.ndarray, cache, weight: float):
         """Gradients of weight * sum_b total_b for the cached forward pass."""
-        mu, logvar, z, _, diff, h_enc, enc_steps, h_dec, dec_steps = cache
+        h_enc, enc_steps, (mu, logvar, z, diff, h_dec, dec_steps) = cache
         p = self.params
         grads = {k: np.zeros_like(v) for k, v in p.items()}
 
         dxhat = (2.0 * weight) * diff  # (B,T,D)
-        dxhat_rows = dxhat.reshape(-1, dxhat.shape[2])
-        grads["out_w"] = dxhat_rows.T @ h_dec.transpose(1, 0, 2).reshape(-1, h_dec.shape[2])
+        # T per-step products summed in step order: the same bits at any BLAS thread count
+        grads["out_w"] = np.add.reduce(dxhat.transpose(1, 2, 0) @ h_dec, axis=0)
         grads["out_b"] = dxhat.sum(axis=(0, 1))
-        dh_ext = (dxhat_rows @ p["out_w"]).reshape(*dxhat.shape[:2], -1)  # (B,T,H)
-        # the decoder reads z at every step, so dz sums over the steps
-        z_steps = np.broadcast_to(z, (x.shape[1], *z.shape))
+        dh_ext = (dxhat.reshape(-1, dxhat.shape[2]) @ p["out_w"]).reshape(*dxhat.shape[:2], -1)
+        # the decoder reads z at every step
         no_dh = np.zeros((x.shape[0], self.config.hidden_size))
-        dz = self._lstm_backward(
-            grads, "dec", z_steps, dec_steps, dh_ext.transpose(1, 0, 2), no_dh, need_dx=True
-        )
+        dz = self._lstm_backward(grads, "dec", z, dec_steps, dh_ext.transpose(1, 0, 2), no_dh)
 
         # KL gradients plus the reparameterization path from dz.
         std = np.exp(0.5 * logvar)
@@ -343,9 +388,7 @@ class LstmVaeScorer:
                 idx = order[start : start + batch]
                 xb = x[idx]
                 noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
-                recon, kl, cache = self._losses_batch(xb, noise)
-                if not np.isfinite(np.mean(recon + kl)):
-                    raise NonFiniteError("training diverged to a non-finite loss")
+                _, _, cache = self._losses_batch(xb, noise)
                 grads = self._grads_batch(xb, cache, weight=1.0 / xb.shape[0])
                 step += 1
                 bc1 = 1.0 - cfg.adam_beta1**step
@@ -370,17 +413,91 @@ class LstmVaeScorer:
 
     @classmethod
     def load(cls, path) -> "LstmVaeScorer":
-        with np.load(path, allow_pickle=False) as data:
-            version = int(data["format_version"])
+        """Read a ``save`` checkpoint; a file that is not one raises ``CorruptCheckpointError``."""
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CorruptCheckpointError(f"not a scorer checkpoint: {exc}") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CorruptCheckpointError("not a scorer checkpoint: one array, not an archive")
+        with data:
+            names = [name for name, _ in _PARAM_SHAPES]
+            missing = [k for k in ("format_version", "config_json", *names) if k not in data]
+            if missing:
+                raise CorruptCheckpointError(f"scorer checkpoint lacks {missing}")
+            version = data["format_version"].tolist()
             if version != _CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            config = ScorerConfig(**json.loads(str(data["config_json"])))
+                raise CorruptCheckpointError(f"unsupported checkpoint version {version!r}")
+            try:
+                config = ScorerConfig(**json.loads(str(data["config_json"])))
+            except (TypeError, ValueError) as exc:  # not a JSON object, an unknown key, a bad value
+                raise CorruptCheckpointError(f"bad scorer config: {exc}") from None
             scorer = cls(config)
-            for name, _ in _PARAM_SHAPES:
+            for name in names:
                 tensor = data[name]
                 if tensor.shape != scorer.params[name].shape:
                     raise ShapeMismatchError(
                         f"checkpoint tensor {name} has shape {tensor.shape}"
                     )
+                if tensor.dtype != np.float64:
+                    raise CorruptCheckpointError(f"checkpoint tensor {name} holds {tensor.dtype}")
                 scorer.params[name] = tensor.copy()
         return scorer
+
+
+def _gate_affine(b: int, h_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, shift) that ``_cell`` applies around its ``tanh``, for B rows of 4H gates.
+
+    (B, 4H), not one broadcast row: same-shape operands take numpy's
+    single-loop fast path.
+    """
+    scale = np.full((b, 4 * h_n), 0.5)
+    scale[:, 2 * h_n : 3 * h_n] = 1.0
+    return scale, 1.0 - scale
+
+
+def _cell(a, c_prev, c, tc, h, scale, shift):
+    """One LSTM step over B rows, in place, from the (B, 4H) pre-activation ``a``.
+
+    ``a`` becomes the gates; the new cell state is written to ``c`` (which
+    may be ``c_prev``), its tanh to ``tc`` and the hidden state to ``h``.
+    Returns the (input, forget, cell, output) gate views.
+
+    All four gates come from one ``tanh`` over ``a``, by sigmoid(x) =
+    tanh(x / 2) / 2 + 1 / 2: the i, f and o slices are halved before the
+    ``tanh`` and after it, then shifted by 1/2; the g slice is left as it
+    is. Halving is exact, so each gate is bit-identical to a sigmoid or
+    tanh taken on its own slice.
+    """
+    h_n = a.shape[1] // 4
+    a *= scale
+    np.tanh(a, out=a)
+    a *= scale
+    a += shift
+    gi, gf = a[:, :h_n], a[:, h_n : 2 * h_n]
+    gg, go = a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
+    np.multiply(gf, c_prev, out=c)
+    np.multiply(gi, gg, out=tc)  # i * g, before tc takes tanh(c)
+    c += tc
+    np.tanh(c, out=tc)
+    np.multiply(go, tc, out=h)
+    return gi, gf, gg, go
+
+
+class EncoderStates:
+    """Encoder states of the T windows in flight over a record stream.
+
+    Slot ``e mod T`` holds the (h, c) of the window ending at stream
+    position ``e``. Whoever feeds the stream owns the object and advances
+    it with ``LstmVaeScorer.score_stream``; the states are stale once the
+    weights change, and ``LstmVaeScorer.prime`` rebuilds them. Every array
+    of the step is allocated here, once.
+    """
+
+    def __init__(self, timestep: int, hidden_size: int):
+        self.h = np.zeros((timestep, hidden_size))
+        self.c = np.zeros((timestep, hidden_size))
+        self.tc = np.empty((timestep, hidden_size))
+        self.a = np.empty((timestep, 4 * hidden_size))
+        self.xw = np.empty(4 * hidden_size)
+        self.scale, self.shift = _gate_affine(timestep, hidden_size)

@@ -239,6 +239,15 @@ class _StubScorer:
     def train(self, windows, epochs):
         return self
 
+    def encoder_states(self):
+        return None
+
+    def prime(self, states, rows, position):
+        pass
+
+    def score_stream(self, states, window, position):
+        return self.score(window)
+
 
 def test_criterion_6_engine_fuzz(criterion_report):
     logging.getLogger("anomstream.engine").setLevel(logging.ERROR)

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anomstream
 from anomstream.cli import main
 from anomstream.engine import EngineConfig
 from anomstream.forest import ForestConfig
@@ -496,3 +498,55 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert "data error" in proc.stderr
+
+
+BLAS_RUN_CONFIG = {
+    "engine": {"update_interval": 150, "abnormal_warmup": 20, "seed": 2},
+    "scorer": {"epochs_initial": 2, "epochs_update": 1},
+    "forest": {"n_estimators": 4, "max_depth": 4},
+    "stream": {
+        "source": "synthetic",
+        "split": {"kind": "fractions", "first": 0.2, "train": 0.5, "test": 0.3},
+        "synthetic": {"n_records": 700, "n_features": 39, "anomaly_rate": 0.05},
+    },
+}
+
+# Trains the 39-feature case at the default geometry, then runs the detector
+# (whose streaming step is a T-row GEMM) on a short synthetic stream.
+BLAS_SCRIPT = """
+import sys
+import numpy as np
+from anomstream.cli import main
+from anomstream.scorer import LstmVaeScorer, ScorerConfig
+out = sys.argv[1]
+windows = np.random.default_rng(3).uniform(size=(110, 30, 39))
+LstmVaeScorer(ScorerConfig(n_features=39, seed=3)).train(windows, epochs=2).save(out + "/trained.npz")
+sys.exit(main(["run", "--config", out + "/config.json", "--out", out + "/run"]))
+"""
+
+
+class TestBlasThreads:
+    def test_same_bytes_at_any_thread_count(self, tmp_path):
+        src = str(Path(anomstream.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in (1, 2, 4):
+            out = tmp_path / str(threads)
+            out.mkdir()
+            (out / "config.json").write_text(json.dumps(BLAS_RUN_CONFIG))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", BLAS_SCRIPT, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            arrays = {}
+            for name in ("trained.npz", "run/scorer.npz"):
+                with np.load(out / name) as data:
+                    arrays.update({f"{name}:{k}": data[k] for k in data.files})
+            outputs[threads] = arrays, (out / "run" / "verdicts.csv").read_bytes()
+        arrays, verdicts = outputs[1]
+        for threads in (2, 4):
+            other, other_verdicts = outputs[threads]
+            assert other.keys() == arrays.keys()
+            for k, v in arrays.items():
+                assert np.array_equal(other[k], v), (threads, k)
+            assert other_verdicts == verdicts, threads

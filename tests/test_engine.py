@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomstream import engine as engine_mod
 from anomstream.engine import (
@@ -30,11 +32,13 @@ class StubScorer:
     """Deterministic stand-in: the loss is the window's last first-feature.
 
     Lets tests place each record's loss exactly while exercising the real
-    state machine; training is a no-op that keeps a copy of its windows.
+    state machine; training is a no-op that keeps a copy of its windows,
+    and priming the stream keeps its rows and position.
     """
 
     def __init__(self):
         self.train_calls = []  # (windows, epochs)
+        self.prime_calls = []  # (rows, position)
         self.params = {}
         self.rng = np.random.default_rng(0)
 
@@ -43,6 +47,15 @@ class StubScorer:
 
     def score_many(self, windows):
         return np.array([self.score(w) for w in windows])
+
+    def encoder_states(self):
+        return None
+
+    def prime(self, states, rows, position):
+        self.prime_calls.append((np.array(rows), position))
+
+    def score_stream(self, states, window, position):
+        return self.score(window)
 
     def train(self, windows, epochs):
         self.train_calls.append((np.array(windows), epochs))
@@ -483,6 +496,31 @@ class TestRejectedRecords:
         assert np.array_equal(dirty.normal_losses.values(), clean.normal_losses.values())
         assert np.array_equal(dirty.abnormal_losses.values(), clean.abnormal_losses.values())
 
+    def test_record_that_fails_to_score_changes_no_state(self):
+        # a scorer whose loss overflows rejects the record; with its weights
+        # restored, the records after it get the verdicts they get without it
+        records = [
+            r.to_stream()
+            for r in synthetic_stream(SyntheticConfig(n_records=70, n_features=3), seed=6)
+        ]
+        scorer_cfg = ScorerConfig(timestep=4, n_features=3, hidden_size=4, latent_size=2, seed=1)
+        config = EngineConfig(scorer=scorer_cfg, update_interval=1000, seed=1)
+        clean, dirty = (
+            OnlineAnomalyDetector(config, scorer=LstmVaeScorer(scorer_cfg)) for _ in range(2)
+        )
+        for engine in (clean, dirty):
+            engine.bootstrap(records[:40])
+        for r in records[40:50]:
+            assert clean.process(r) == dirty.process(r)
+        out_b = dirty.scorer.params["out_b"].copy()
+        dirty.scorer.params["out_b"][:] = np.inf
+        with pytest.raises(NonFiniteError):
+            dirty.process(records[50])
+        dirty.scorer.params["out_b"][:] = out_b
+        for r in records[50:]:
+            assert clean.process(r) == dirty.process(r)
+        assert dirty.samples_seen == clean.samples_seen
+
     def test_degenerate_first_round_leaves_buffer_empty(self):
         # T1 is fitted before the normal buffer is filled, so a retry after
         # the failure bootstraps as if fresh
@@ -538,6 +576,95 @@ class TestRejectedRecords:
             engine.bootstrap(records)
             assert engine.thresholds == reference.thresholds
             assert np.array_equal(engine.normal_losses.values(), reference.normal_losses.values())
+
+
+class TestPendingInterval:
+    @given(
+        st.integers(1, 4), st.integers(1, 6), st.lists(st.booleans(), max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_array_holds_the_rows_fed_in(self, timestep, interval, retrain, seed):
+        # any sequence of process and maybe_retrain calls; a skipped
+        # maybe_retrain lets the interval outgrow its first capacity
+        rng = np.random.default_rng(seed)
+        first_losses = bootstrap_losses(rng, n=20)
+        engine = stub_engine(first_losses, warmup=3, interval=interval, timestep=timestep)
+        fed = np.array([[v, 0.5] for v in first_losses])
+        n0, carry = len(fed), timestep - 1
+        verdicts = []
+        assert len(engine.scorer.prime_calls) == 1
+        for i, call_retrain in enumerate(retrain):
+            row = np.array([rng.lognormal(0.0, 0.6), rng.random()])
+            verdicts.append(engine.process(StreamRecord(index=i, features=row)))
+            fed = np.vstack([fed, row])
+            primes = len(engine.scorer.prime_calls)
+            if call_retrain:
+                report = engine.maybe_retrain()
+                if report is not None:
+                    assert report.scorer_windows == sum(v.label is Label.NORMAL for v in verdicts)
+                    assert report.forest_samples == sum(
+                        v.route is not Route.CLASSIFIER for v in verdicts
+                    )
+                    verdicts = []
+                    assert len(engine.scorer.prime_calls) == primes + (report.scorer_windows > 0)
+            pending = engine._pending
+            assert pending == len(verdicts)
+            assert np.array_equal(engine._rows[: carry + pending], fed[len(fed) - carry - pending :])
+            assert engine._labels[:pending].tolist() == [int(v.label) for v in verdicts]
+            assert engine._routes[:pending].tolist() == [
+                list(Route).index(v.route) for v in verdicts
+            ]
+        # each prime read the T - 1 rows before its stream position
+        for rows, position in engine.scorer.prime_calls:
+            assert np.array_equal(rows, fed[n0 + position - carry : n0 + position])
+
+
+class TestReprime:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mode, learning_rate, reprimed",
+        [("adaptive", 1e-2, True), ("adaptive", 1e6, True), ("scorer-only", 1e-2, True),
+         ("initial-only", 1e-2, False), ("offline", 1e-2, False)],
+        ids=["fine-tune", "rolled-back", "scorer-only", "initial-only", "offline"],
+    )
+    def test_reprimed_after_a_fine_tune_only(self, mode, learning_rate, reprimed):
+        # the windows in flight are re-encoded after every fine-tune, also a
+        # rolled-back one, and never when the weights cannot change; either
+        # way each loss is the score of its window under the current weights
+        records = [
+            r.to_stream()
+            for r in synthetic_stream(SyntheticConfig(n_records=90, n_features=3), seed=5)
+        ]
+        scorer_cfg = ScorerConfig(
+            timestep=4, n_features=3, hidden_size=4, latent_size=2,
+            learning_rate=learning_rate, batch_size=4, epochs_update=2, seed=1,
+        )
+        config = EngineConfig(scorer=scorer_cfg, update_interval=20, seed=1, mode=mode)
+        engine = OnlineAnomalyDetector(config, scorer=LstmVaeScorer(scorer_cfg))
+        positions = []
+        real_prime = engine.scorer.prime
+
+        def spy(states, rows, position):
+            positions.append(position)
+            real_prime(states, rows, position)
+
+        engine.scorer.prime = spy
+        engine.bootstrap(records[:40])
+        assert positions == [0]
+        before = {k: v.copy() for k, v in engine.scorer.params.items()}
+        for r in records[40:60]:
+            engine.process(r)
+        report = engine.maybe_retrain()
+        assert report.scorer_windows > 0
+        assert ("scorer_rolled_back" in report.notes) == (learning_rate > 1)
+        changed = any(not np.array_equal(before[k], v) for k, v in engine.scorer.params.items())
+        assert changed == (reprimed and learning_rate < 1)
+        assert positions == ([0, 20] if reprimed else [0])
+        rows = np.array([r.features for r in records])
+        for j in range(60, 90):
+            verdict = engine.process(records[j])
+            assert verdict.loss == pytest.approx(engine.scorer.score(rows[j - 3 : j + 1]), rel=1e-12)
 
 
 class TestEventsAndDeterminism:

@@ -614,3 +614,18 @@ class TestCheckpoint:
         path.write_text(json.dumps(edit({**self.DOC, "trees": [self.TREE]})))
         with pytest.raises(CorruptCheckpointError, match=match):
             load_forest(path)
+
+    @pytest.mark.parametrize("data", [b"not json", b"{\"format_version\": 1,", b"\xff\xfe{}"],
+                             ids=["text", "truncated", "not-utf8"])
+    def test_non_json_file_rejected(self, tmp_path, data):
+        path = tmp_path / "forest.json"
+        path.write_bytes(data)
+        with pytest.raises(CorruptCheckpointError, match="not JSON"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    def test_unsupported_format_version_rejected(self, tmp_path, version):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({**self.DOC, "format_version": version, "trees": [self.TREE]}))
+        with pytest.raises(CorruptCheckpointError, match="version"):
+            load_forest(path)

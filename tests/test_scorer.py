@@ -1,5 +1,6 @@
 """Tests for the LSTM-VAE scorer: forward math, gradients, training."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomstream.errors import NonFiniteError, ShapeMismatchError
+from anomstream.errors import CorruptCheckpointError, NonFiniteError, ShapeMismatchError
 from anomstream.ingest import windows
 from anomstream.scorer import LstmVaeScorer, ScorerConfig, reparameterize
 
@@ -267,6 +268,66 @@ class TestTextbookReference:
         assert s.score_many(wins) == pytest.approx(expected, rel=1e-12)
 
 
+def stream_losses(scorer, rows, start, primes=()):
+    """Stream ``rows``, whose first row is at stream position ``start``, and
+    return the loss of every window that completes, in order. The states
+    are re-primed from the last T - 1 rows before each position in
+    ``primes``, after being filled with garbage."""
+    t = scorer.config.timestep
+    states = scorer.encoder_states()
+    scorer.prime(states, rows[: t - 1], start + t - 1)
+    out = []
+    for e in range(t - 1, len(rows)):
+        if e in primes:
+            for a in (states.h, states.c):
+                a[...] = np.random.default_rng(e).normal(size=a.shape)
+            scorer.prime(states, rows[e - t + 1 : e], start + e)
+        out.append(scorer.score_stream(states, rows[e - t + 1 : e + 1], start + e))
+    return np.array(out)
+
+
+class TestStreaming:
+    @given(
+        st.integers(1, 6), st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+        st.integers(1, 12), st.integers(-40, 40), st.sets(st.integers(0, 20)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_score_many(self, t, d, h, l, n, start, primes, seed):
+        s = LstmVaeScorer(
+            ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l, seed=seed)
+        )
+        rows = np.random.default_rng(seed).normal(size=(t - 1 + n, d))
+        expected = s.score_many(windows(rows, t))
+        got = stream_losses(s, rows, start, {p + t - 1 for p in primes})
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_re_primed_stream_is_bit_identical(self, t, d, n, data):
+        s = LstmVaeScorer(ScorerConfig(timestep=t, n_features=d, hidden_size=5, latent_size=3))
+        rows = np.random.default_rng(n).normal(size=(t + n, d))
+        k = data.draw(st.integers(t - 1, t - 1 + n), label="cut")
+        through = stream_losses(s, rows, 0)
+        assert np.array_equal(stream_losses(s, rows, 0, {k}), through)
+
+    @pytest.mark.parametrize("d", [8, 39])
+    def test_re_primed_stream_is_bit_identical_at_default_geometry(self, d):
+        s = LstmVaeScorer(ScorerConfig(n_features=d, seed=5))
+        rng = np.random.default_rng(d)
+        rows = rng.uniform(size=(120, d))
+        cuts = set(rng.choice(np.arange(29, 120), size=4, replace=False).tolist())
+        through = stream_losses(s, rows, 7)
+        assert np.array_equal(stream_losses(s, rows, 7, cuts), through)
+        assert through == pytest.approx(s.score_many(windows(rows, 30)), rel=1e-12)
+
+    def test_rejects_a_wrong_window(self):
+        s = toy_scorer()
+        states = s.encoder_states()
+        with pytest.raises(ShapeMismatchError):
+            s.score_stream(states, np.zeros((2, 2)), 0)
+
+
 class TestGradients:
     def test_matches_finite_differences(self):
         h = 1e-4
@@ -372,3 +433,58 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[k], s.params[k])
         w = rng.normal(size=(3, 2))
         assert loaded.score(w) == s.score(w)
+
+    @staticmethod
+    def rewrite(source, target, **changes):
+        """Copy the archive at ``source`` to ``target`` with entries replaced (None drops one)."""
+        with np.load(source) as data:
+            payload = {k: data[k] for k in data.files}
+        for k, v in changes.items():
+            if v is None:
+                del payload[k]
+            else:
+                payload[k] = v
+        np.savez(target, **payload)
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"enc_wx": None}, "lacks"),
+            ({"out_b": None}, "lacks"),
+            ({"config_json": None}, "lacks"),
+            ({"format_version": None}, "lacks"),
+            ({"format_version": np.array(2)}, "version"),
+            ({"format_version": np.array("1")}, "version"),
+            ({"format_version": np.array([1])}, "version"),
+            ({"config_json": np.array(json.dumps({**TOY, "bogus": 1}))}, "config"),
+            ({"config_json": np.array(json.dumps({**TOY, "timestep": 0}))}, "config"),
+            ({"config_json": np.array("[1]")}, "config"),
+            ({"config_json": np.array("not json")}, "config"),
+            ({"enc_b": np.array(["x"] * 32)}, "enc_b"),
+            ({"out_w": np.zeros((2, 8), dtype=np.float32)}, "out_w"),
+        ],
+        ids=["no-enc_wx", "no-out_b", "no-config", "no-version", "version-2", "version-str",
+             "version-list", "config-unknown-key", "config-bad-value", "config-not-object",
+             "config-not-json", "str-tensor", "float32-tensor"],
+    )
+    def test_malformed_archive_rejected(self, tmp_path, changes, match):
+        good = tmp_path / "scorer.npz"
+        toy_scorer(seed=2).save(good)
+        bad = tmp_path / "bad.npz"
+        self.rewrite(good, bad, **changes)
+        with pytest.raises(CorruptCheckpointError, match=match):
+            LstmVaeScorer.load(bad)
+
+    @pytest.mark.parametrize("data", [b"junk", b"PK\x03\x04junk", b""],
+                             ids=["bytes", "broken-zip", "empty"])
+    def test_non_archive_file_rejected(self, tmp_path, data):
+        path = tmp_path / "scorer.npz"
+        path.write_bytes(data)
+        with pytest.raises(CorruptCheckpointError, match="not a scorer checkpoint"):
+            LstmVaeScorer.load(path)
+
+    def test_bare_array_rejected(self, tmp_path):
+        path = tmp_path / "scorer.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(CorruptCheckpointError, match="not an archive"):
+            LstmVaeScorer.load(path)
