@@ -149,8 +149,8 @@ def _load_run_config(args) -> _RunConfig:
     doc = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        if not path.is_file():
+            raise UsageError(f"config file not found or not a file: {path}")
         doc = json.loads(path.read_text(encoding="utf-8"))
     doc = _checked(doc, "config", dict.fromkeys(("engine", "scorer", "forest", "stream"), dict))
     engine = _build(engine_mod.EngineConfig, doc.get("engine", {}), "engine", scorer=None,
@@ -283,9 +283,7 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
 
     detector = engine_mod.OnlineAnomalyDetector(engine_cfg, scorer=scorer, sink=recorder.sink)
     detector.bootstrap([r.to_stream() for r in first_n])
-    recorder.threshold_rows.append(
-        (0, "bootstrap", detector.thresholds.t1, detector.thresholds.t2)
-    )
+    recorder.threshold_rows.append((0, "bootstrap", detector.thresholds.t1, detector.thresholds.t2))
 
     for record in train_n + test_n:
         detector.process(record.to_stream())
@@ -295,8 +293,7 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     scores = _composite_scores(recorder.verdicts)
     _write_verdicts(out_dir / "verdicts.csv", recorder.verdicts, scores)
     _write_thresholds(out_dir / "thresholds.csv", recorder)
-    if hasattr(detector.scorer, "save"):
-        detector.scorer.save(out_dir / "scorer.npz")
+    detector.scorer.save(out_dir / "scorer.npz")
     if detector.forest is not None:
         save_forest(detector.forest, out_dir / "forest.json")
     (out_dir / "run_config.json").write_text(
@@ -306,12 +303,8 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
 
     report = _evaluate_slice(recorder.verdicts, scores, test_n)
     if report is not None:
-        (out_dir / "metrics.txt").write_text(
-            metrics_mod.report_text(report), encoding="utf-8"
-        )
-        (out_dir / "metrics.csv").write_text(
-            metrics_mod.report_csv(report), encoding="utf-8"
-        )
+        (out_dir / "metrics.txt").write_text(metrics_mod.report_text(report), encoding="utf-8")
+        (out_dir / "metrics.csv").write_text(metrics_mod.report_csv(report), encoding="utf-8")
     else:
         logger.info("no ground truth in the test slice; metrics skipped")
     return report
@@ -331,9 +324,7 @@ def _cmd_run(args) -> int:
 
 def _table(path: Path, columns: tuple[str, ...]) -> list[dict]:
     """The rows of a CSV whose header names every one of ``columns``."""
-    if not path.exists():
-        raise ingest.MissingFileError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with ingest.open_text(path) as handle:
         reader = csv.DictReader(handle)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:

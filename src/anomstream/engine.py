@@ -145,12 +145,13 @@ EngineEvent = Verdict | RetrainReport | PhaseTransitionEvent
 class OnlineAnomalyDetector:
     """Two-layer online detector with self-adapting thresholds.
 
-    ``scorer`` may be any object with the LstmVaeScorer scoring, streaming
-    and training surface, ``params`` and ``rng`` included (used by tests to
-    fuzz the state machine with a cheap stub). A scorer passed in counts as
-    pretrained: ``bootstrap`` trains only the scorer the engine builds
-    itself. ``config.mode`` selects the detector or one of its ablations
-    (see ``MODES``); ``offline`` needs a scorer passed in.
+    The engine makes three calls on its ``scorer``: ``score_many(windows)``,
+    ``score_stream(window, position)`` and ``train(windows, epochs)``, which
+    raises ``NonFiniteError`` with the scorer unchanged when a fine-tune
+    diverges; tests fuzz the state machine with a cheap stub. A scorer passed
+    in counts as pretrained: ``bootstrap`` trains only the scorer the engine
+    builds itself. ``config.mode`` selects the detector or one of its
+    ablations (see ``MODES``); ``offline`` needs a scorer passed in.
     """
 
     def __init__(
@@ -185,8 +186,6 @@ class OnlineAnomalyDetector:
         # classifier: counted as they come, since counting the arrays in
         # maybe_retrain costs a noticeable share of a pause without a fine-tune
         self._pending = self._normal = self._classified = 0
-        # the encoder states of the windows in flight, rebuilt whenever the weights change
-        self._encoders = None
         self._forest_seeds = np.random.SeedSequence(config.seed)
 
     # ------------------------------------------------------------- lifecycle
@@ -228,22 +227,13 @@ class OnlineAnomalyDetector:
         try:
             t1, fit = adaptive_threshold(held[-self.normal_losses.capacity :], self.config.p1)
         except DegenerateSampleError as exc:
-            raise InsufficientDataError(
-                f"first-round losses are degenerate: {exc}"
-            ) from exc
+            raise InsufficientDataError(f"first-round losses are degenerate: {exc}") from exc
         self.normal_losses.extend(losses)
         self._install(t1, fit, None, None)
         self._rows = features[len(features) - (t - 1) :].copy()
         self._labels = np.empty(0, dtype=np.int8)
         self._routes = np.empty(0, dtype=np.int8)
         self._pending = self._normal = self._classified = 0
-        self._prime()
-
-    def _prime(self) -> None:
-        """Encode the windows in flight afresh from the last T - 1 rows."""
-        self._encoders = self.scorer.encoder_states()
-        rows = self._rows[self._pending : self._pending + self.config.scorer.timestep - 1]
-        self.scorer.prime(self._encoders, rows, self.samples_seen)
 
     # -------------------------------------------------------------- routing
 
@@ -273,13 +263,7 @@ class OnlineAnomalyDetector:
                 for a in (self._rows, self._labels, self._routes)
             )
         self._rows[t_steps - 1 + k] = features
-        try:
-            loss = self.scorer.score_stream(
-                self._encoders, self._rows[k : t_steps + k], self.samples_seen
-            )
-        except NonFiniteError:
-            self._prime()  # the step advanced the windows in flight: undo it
-            raise
+        loss = self.scorer.score_stream(self._rows[k : t_steps + k], self.samples_seen)
         t = self.thresholds
 
         # t2 is None exactly in the single-threshold phase
@@ -350,9 +334,8 @@ class OnlineAnomalyDetector:
     def maybe_retrain(self) -> RetrainReport | None:
         """Recompute thresholds and retrain both models every full batch.
 
-        A fine-tune that diverges is rolled back to the weights and rng state
-        it started from (note ``scorer_rolled_back``); the retrain goes on.
-        After any fine-tune the windows in flight are re-encoded.
+        A fine-tune that diverges is rolled back by the scorer (note
+        ``scorer_rolled_back``); the retrain goes on.
         """
         k = self._pending
         if k < self.config.update_interval:
@@ -379,20 +362,13 @@ class OnlineAnomalyDetector:
             if self._install(t1, fit_n, t2, fit_a):
                 notes.append("empty_uncertain_band")
 
-        fine_tuned = False
         if self.config.mode not in ("initial-only", "offline"):
             if scorer_windows:
                 batch = make_windows(rows, t_steps)[labels == Label.NORMAL]
-                params = {name: v.copy() for name, v in self.scorer.params.items()}
-                rng_state = self.scorer.rng.bit_generator.state
-                fine_tuned = True
-                self._encoders = None  # stale from here on; not held through the fine-tune
                 try:
                     self.scorer.train(batch, self.config.scorer.epochs_update)
                 except NonFiniteError as exc:
                     logger.warning("fine-tune diverged, scorer rolled back: %s", exc)
-                    self.scorer.params.update(params)
-                    self.scorer.rng.bit_generator.state = rng_state
                     notes.append("scorer_rolled_back")
             else:
                 logger.warning("no pseudo-normal windows this batch; scorer not updated")
@@ -415,8 +391,6 @@ class OnlineAnomalyDetector:
 
         self._rows[: t_steps - 1] = rows[k:]
         self._pending = self._normal = self._classified = 0
-        if fine_tuned:
-            self._prime()
         self.retrains_done += 1
         report = RetrainReport(
             index=self.retrains_done,

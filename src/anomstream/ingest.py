@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -49,6 +50,19 @@ class FeatureRecord:
         return StreamRecord(index=self.index, features=self.features)
 
 
+@contextmanager
+def open_text(path: Path, what: str = "input file"):
+    """``path`` open as UTF-8 text; raises ``MissingFileError`` if it is not a file, and
+    ``SchemaMismatchError`` on bytes that are not UTF-8 or JSON that does not parse."""
+    if not path.is_file():
+        raise MissingFileError(f"{what} not found or not a file: {path}")
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaMismatchError(f"cannot read {what} {path.name}: {exc}") from None
+
+
 @dataclass
 class CsvSchema:
     """Column roles and label-value mapping for a feature CSV."""
@@ -61,9 +75,8 @@ class CsvSchema:
     @classmethod
     def from_json(cls, path) -> "CsvSchema":
         path = Path(path)
-        if not path.exists():
-            raise MissingFileError(f"schema file not found: {path}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path, "schema file") as handle:
+            doc = json.load(handle)
         features = doc.get("features") if isinstance(doc, dict) else None
         if not isinstance(features, list) or not all(isinstance(c, str) for c in features):
             raise SchemaMismatchError(f"schema {path.name} needs a 'features' list of column names")
@@ -104,11 +117,9 @@ def load_csv(path, schema: CsvSchema) -> CsvLoadResult:
     a finite float or when its label value is absent from the schema's map.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"input file not found: {path}")
     records: list[FeatureRecord] = []
     rejected = 0
-    with path.open(newline="", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         needed = list(schema.feature_columns)
@@ -121,9 +132,7 @@ def load_csv(path, schema: CsvSchema) -> CsvLoadResult:
             raise SchemaMismatchError(f"columns missing from {path.name}: {missing}")
         for row in reader:
             try:
-                values = np.array(
-                    [float(row[c]) for c in schema.feature_columns], dtype=float
-                )
+                values = np.array([float(row[c]) for c in schema.feature_columns], dtype=float)
             except (TypeError, ValueError):
                 rejected += 1
                 continue
@@ -139,9 +148,7 @@ def load_csv(path, schema: CsvSchema) -> CsvLoadResult:
                 truth = schema.label_map[raw]
             timestamp = row[schema.timestamp_column] if schema.timestamp_column else None
             records.append(
-                FeatureRecord(
-                    index=len(records), features=values, truth=truth, timestamp=timestamp
-                )
+                FeatureRecord(index=len(records), features=values, truth=truth, timestamp=timestamp)
             )
     if rejected:
         logger.warning("dropped %d malformed rows from %s", rejected, path.name)

@@ -101,12 +101,15 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.
 class LstmVaeScorer:
     """LSTM encoder/decoder VAE scoring windows by negative ELBO.
 
-    Scoring is pure and may run concurrently; ``train`` mutates the single
-    parameter set and must not overlap with scoring.
+    ``score``, ``score_many`` and ``loss`` are pure. ``score_stream`` updates
+    a memo of the last stream scored and ``train`` changes the weights and
+    re-primes that memo, so neither is thread-safe; edits to ``params`` made
+    outside ``train`` leave the memo stale.
     """
 
     def __init__(self, config: ScorerConfig):
         self.config = config
+        self._stream: _Stream | None = None
         self.rng = np.random.default_rng(config.seed)
         bound = 1.0 / np.sqrt(config.hidden_size)
         self.params: dict[str, np.ndarray] = {}
@@ -233,11 +236,7 @@ class LstmVaeScorer:
 
     # ------------------------------------------------------------- streaming
 
-    def encoder_states(self) -> "EncoderStates":
-        """Fresh in-flight encoder states for ``prime`` and ``score_stream``."""
-        return EncoderStates(self.config.timestep, self.config.hidden_size)
-
-    def _advance(self, states: "EncoderStates", row: np.ndarray, position: int) -> None:
+    def _advance(self, stream: "_Stream", row: np.ndarray, position: int) -> None:
         """Feed the row at stream ``position`` to every window in flight in one T-row step.
 
         The slot of the window that starts with this row, the one ending at
@@ -246,35 +245,43 @@ class LstmVaeScorer:
         """
         p = self.params
         slot = (position - 1) % self.config.timestep
-        states.h[slot] = 0.0
-        states.c[slot] = 0.0
-        np.matmul(states.h, p["enc_wh"].T, out=states.a)
-        np.matmul(row, p["enc_wx"].T, out=states.xw)
-        states.xw += p["enc_b"]
-        states.a += states.xw
-        _cell(states.a, states.c, states.c, states.tc, states.h, states.scale, states.shift)
+        stream.h[slot] = 0.0
+        stream.c[slot] = 0.0
+        np.matmul(stream.h, p["enc_wh"].T, out=stream.a)
+        np.matmul(row, p["enc_wx"].T, out=stream.xw)
+        stream.xw += p["enc_b"]
+        stream.a += stream.xw
+        _cell(stream.a, stream.c, stream.c, stream.tc, stream.h, stream.scale, stream.shift)
 
-    def prime(self, states: "EncoderStates", rows: np.ndarray, position: int) -> None:
-        """Rebuild ``states`` from ``rows``, the T - 1 rows before stream ``position``.
+    def _prime(self, rows: np.ndarray, position: int) -> "_Stream":
+        """A fresh stream memo for the window at ``position``, from ``rows``, the T - 1 before it.
 
-        Every slot runs in its fixed position, so the rebuilt windows hold the
-        same bits as a stream that ran through those rows without a break,
-        whatever the slots held before.
+        Every slot runs in its fixed position, so the windows in flight hold
+        the same bits as a stream that ran through those rows without a break.
         """
-        start = position - len(rows)
+        stream = _Stream(self.config, rows, position)
         for k, row in enumerate(rows):
-            self._advance(states, row, start + k)
+            self._advance(stream, row, position - len(rows) + k)
+        return stream
 
-    def score_stream(self, states: "EncoderStates", window, position: int) -> float:
+    def score_stream(self, window, position: int) -> float:
         """``score`` of the window ending at stream ``position``, whose last row is new.
 
-        That row advances every window in flight (see ``prime``); the window
-        it completes is then decoded and scored.
+        The memo is reused if ``position`` is its next one and the window starts
+        with its T - 1 rows, else rebuilt from the window (``_prime``). The new
+        row advances every window in flight; the one it completes is scored.
         """
-        x = self._stack(np.asarray(window, dtype=float)[None])
-        self._advance(states, x[0, -1], position)
-        h_enc = states.h[position % self.config.timestep][None]
-        recon, kl, _ = self._tail(x, h_enc, np.zeros((1, self.config.latent_size)), False)
+        x, noise = self._batch_of_one(window, None)
+        head = x[0, :-1]
+        stream, self._stream = self._stream, None  # invalid until the loss passes _tail's checks
+        if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
+            stream = self._prime(head, position)
+        self._advance(stream, x[0, -1], position)
+        h_enc = stream.h[position % self.config.timestep][None]
+        recon, kl, _ = self._tail(x, h_enc, noise, False)
+        stream.rows[...] = x[0, 1:]
+        stream.position = position + 1
+        self._stream = stream
         return float(recon[0] + kl[0])
 
     # -------------------------------------------------------------- backward
@@ -371,7 +378,9 @@ class LstmVaeScorer:
         """Adam minimization of the mean loss over ``windows``.
 
         The optimizer state is fresh for each call; parameters continue from
-        their current values, so repeated calls fine-tune the model.
+        their current values, so repeated calls fine-tune the model. A diverging
+        one restores the parameters and rng state bit-exactly and re-raises
+        ``NonFiniteError``; either way the stream memo is re-primed.
         """
         if epochs <= 0:
             return self
@@ -379,27 +388,39 @@ class LstmVaeScorer:
         n = x.shape[0]
         cfg = self.config
         batch = min(cfg.batch_size, n)
+        params = {k: v.copy() for k, v in self.params.items()}
+        rng_state = self.rng.bit_generator.state
+        # stale from here on, so only the rows and position are held through the fine-tune
+        stream, self._stream = self._stream and (self._stream.rows, self._stream.position), None
         m_state = {k: np.zeros_like(v) for k, v in self.params.items()}
         v_state = {k: np.zeros_like(v) for k, v in self.params.items()}
         step = 0
-        for _ in range(epochs):
-            order = self.rng.permutation(n)
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                xb = x[idx]
-                noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
-                _, _, cache = self._losses_batch(xb, noise)
-                grads = self._grads_batch(xb, cache, weight=1.0 / xb.shape[0])
-                step += 1
-                bc1 = 1.0 - cfg.adam_beta1**step
-                bc2 = 1.0 - cfg.adam_beta2**step
-                for k, g in grads.items():
-                    m_state[k] = cfg.adam_beta1 * m_state[k] + (1.0 - cfg.adam_beta1) * g
-                    v_state[k] = cfg.adam_beta2 * v_state[k] + (1.0 - cfg.adam_beta2) * g * g
-                    self.params[k] -= (
-                        cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.adam_eps)
-                    )
-                del cache, grads  # before the next forward: one minibatch's BPTT cache at a time
+        try:
+            for _ in range(epochs):
+                order = self.rng.permutation(n)
+                for start in range(0, n, batch):
+                    idx = order[start : start + batch]
+                    xb = x[idx]
+                    noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
+                    _, _, cache = self._losses_batch(xb, noise)
+                    grads = self._grads_batch(xb, cache, weight=1.0 / xb.shape[0])
+                    step += 1
+                    bc1 = 1.0 - cfg.adam_beta1**step
+                    bc2 = 1.0 - cfg.adam_beta2**step
+                    for k, g in grads.items():
+                        m_state[k] = cfg.adam_beta1 * m_state[k] + (1.0 - cfg.adam_beta1) * g
+                        v_state[k] = cfg.adam_beta2 * v_state[k] + (1.0 - cfg.adam_beta2) * g * g
+                        self.params[k] -= (
+                            cfg.learning_rate * (m_state[k] / bc1) / (np.sqrt(v_state[k] / bc2) + cfg.adam_eps)
+                        )
+                    del cache, grads  # before the next forward: one minibatch's BPTT cache at a time
+        except NonFiniteError:
+            self.params.update(params)
+            self.rng.bit_generator.state = rng_state
+            raise
+        finally:
+            if stream:
+                self._stream = self._prime(*stream)
         return self
 
     # ------------------------------------------------------------ checkpoint
@@ -484,17 +505,19 @@ def _cell(a, c_prev, c, tc, h, scale, shift):
     return gi, gf, gg, go
 
 
-class EncoderStates:
-    """Encoder states of the T windows in flight over a record stream.
+class _Stream:
+    """The scorer's memo of the last record stream it scored.
 
-    Slot ``e mod T`` holds the (h, c) of the window ending at stream
-    position ``e``. Whoever feeds the stream owns the object and advances
-    it with ``LstmVaeScorer.score_stream``; the states are stale once the
-    weights change, and ``LstmVaeScorer.prime`` rebuilds them. Every array
+    Slot ``e mod T`` holds the encoder (h, c) of the window ending at stream
+    position ``e``, for the T windows in flight; ``rows`` is a copy of the
+    T - 1 rows the window at the next ``position`` starts with. Every array
     of the step is allocated here, once.
     """
 
-    def __init__(self, timestep: int, hidden_size: int):
+    def __init__(self, config: ScorerConfig, rows: np.ndarray, position: int):
+        timestep, hidden_size = config.timestep, config.hidden_size
+        self.rows = rows.copy()
+        self.position = position
         self.h = np.zeros((timestep, hidden_size))
         self.c = np.zeros((timestep, hidden_size))
         self.tc = np.empty((timestep, hidden_size))

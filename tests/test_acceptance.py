@@ -227,26 +227,17 @@ def test_criterion_5_convergence(criterion_report):
 class _StubScorer:
     """Loss equals the first feature of the window's last row."""
 
-    params: dict = {}
-    rng = np.random.default_rng(0)
-
     def score(self, window):
         return float(window[-1][0])
 
     def score_many(self, windows):
         return np.array([self.score(w) for w in windows])
 
+    def score_stream(self, window, position):
+        return self.score(window)
+
     def train(self, windows, epochs):
         return self
-
-    def encoder_states(self):
-        return None
-
-    def prime(self, states, rows, position):
-        pass
-
-    def score_stream(self, states, window, position):
-        return self.score(window)
 
 
 def test_criterion_6_engine_fuzz(criterion_report):

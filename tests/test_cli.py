@@ -489,6 +489,59 @@ class TestSynth:
         assert (out / "metrics.txt").exists()
 
 
+class TestInputFiles:
+    """Each input path the CLI opens: a directory or bytes that are not UTF-8 are typed errors."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "stream.csv").write_text("f0,label\n1.0,normal\n2.0,abnormal\n")
+        (tmp_path / "schema.json").write_text(
+            json.dumps({"features": ["f0"], "label": "label",
+                        "label_map": {"normal": "normal", "abnormal": "abnormal"}})
+        )
+        (tmp_path / "verdicts.csv").write_text("index,loss,label\n0,1.0,normal\n")
+        (tmp_path / "truth.csv").write_text("index,label\n0,normal\n")
+        (tmp_path / "loss.csv").write_text("loss\n1.0\n2.0\n")
+        return tmp_path
+
+    # {d} is the directory of the inputs, {} the path under test
+    COMMANDS = {
+        "run-config": ["run", "--config", "{d}/{}", "--out", "{d}/out"],
+        "run-csv": ["run", "--csv", "{d}/{}", "--schema", "{d}/schema.json", "--out", "{d}/out"],
+        "run-schema": ["run", "--csv", "{d}/stream.csv", "--schema", "{d}/{}", "--out", "{d}/out"],
+        "eval-verdicts": ["eval", "--verdicts", "{d}/{}", "--truth", "{d}/truth.csv"],
+        "eval-truth": ["eval", "--verdicts", "{d}/verdicts.csv", "--truth", "{d}/{}"],
+        "fit-csv": ["fit", "--csv", "{d}/{}", "--column", "loss", "--percentile", "0.9"],
+    }
+
+    def _main(self, inputs, command, path):
+        return main([arg.format(path, d=inputs) for arg in self.COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_directory_is_a_typed_error(self, inputs, capsys, command):
+        code, kind = (1, "usage error:") if command == "run-config" else (2, "data error:")
+        assert self._main(inputs, command, "dir") == code
+        err = capsys.readouterr().err
+        assert err.startswith(kind) and "not found" in err and "dir" in err
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "run-config"])
+    @pytest.mark.parametrize("content", [b"\xff\xfeindex,loss\n", b"index,loss\n0,\xff\n"],
+                             ids=["bom", "mid-file"])
+    def test_file_that_is_not_utf8_is_a_data_error(self, inputs, capsys, command, content):
+        (inputs / "bad.txt").write_bytes(content)
+        assert self._main(inputs, command, "bad.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "bad.txt" in err
+
+    @pytest.mark.parametrize("content", ["{not json", ""], ids=["broken", "empty"])
+    def test_schema_that_is_not_json_is_a_data_error(self, inputs, capsys, content):
+        (inputs / "bad.json").write_text(content)
+        assert self._main(inputs, "run-schema", "bad.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "bad.json" in err
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_usage(self):
         proc = subprocess.run(

@@ -33,14 +33,12 @@ class StubScorer:
 
     Lets tests place each record's loss exactly while exercising the real
     state machine; training is a no-op that keeps a copy of its windows,
-    and priming the stream keeps its rows and position.
+    and streaming keeps a copy of each window with its position.
     """
 
     def __init__(self):
         self.train_calls = []  # (windows, epochs)
-        self.prime_calls = []  # (rows, position)
-        self.params = {}
-        self.rng = np.random.default_rng(0)
+        self.stream_calls = []  # (window, position)
 
     def score(self, window):
         return float(window[-1][0])
@@ -48,13 +46,8 @@ class StubScorer:
     def score_many(self, windows):
         return np.array([self.score(w) for w in windows])
 
-    def encoder_states(self):
-        return None
-
-    def prime(self, states, rows, position):
-        self.prime_calls.append((np.array(rows), position))
-
-    def score_stream(self, states, window, position):
+    def score_stream(self, window, position):
+        self.stream_calls.append((np.array(window), position))
         return self.score(window)
 
     def train(self, windows, epochs):
@@ -593,12 +586,10 @@ class TestPendingInterval:
         fed = np.array([[v, 0.5] for v in first_losses])
         n0, carry = len(fed), timestep - 1
         verdicts = []
-        assert len(engine.scorer.prime_calls) == 1
         for i, call_retrain in enumerate(retrain):
             row = np.array([rng.lognormal(0.0, 0.6), rng.random()])
             verdicts.append(engine.process(StreamRecord(index=i, features=row)))
             fed = np.vstack([fed, row])
-            primes = len(engine.scorer.prime_calls)
             if call_retrain:
                 report = engine.maybe_retrain()
                 if report is not None:
@@ -607,7 +598,6 @@ class TestPendingInterval:
                         v.route is not Route.CLASSIFIER for v in verdicts
                     )
                     verdicts = []
-                    assert len(engine.scorer.prime_calls) == primes + (report.scorer_windows > 0)
             pending = engine._pending
             assert pending == len(verdicts)
             assert np.array_equal(engine._rows[: carry + pending], fed[len(fed) - carry - pending :])
@@ -615,9 +605,23 @@ class TestPendingInterval:
             assert engine._routes[:pending].tolist() == [
                 list(Route).index(v.route) for v in verdicts
             ]
-        # each prime read the T - 1 rows before its stream position
-        for rows, position in engine.scorer.prime_calls:
-            assert np.array_equal(rows, fed[n0 + position - carry : n0 + position])
+        # each record's window is the T rows fed in that end at its stream position
+        assert [position for _, position in engine.scorer.stream_calls] == list(range(len(retrain)))
+        for window, position in engine.scorer.stream_calls:
+            assert np.array_equal(window, fed[n0 + position - carry : n0 + position + 1])
+
+
+def spy_primes(scorer):
+    """Record the stream position of every re-prime of ``scorer``'s stream memo."""
+    positions = []
+    real_prime = scorer._prime
+
+    def spy(rows, position):
+        positions.append(position)
+        return real_prime(rows, position)
+
+    scorer._prime = spy
+    return positions
 
 
 class TestReprime:
@@ -629,9 +633,10 @@ class TestReprime:
         ids=["fine-tune", "rolled-back", "scorer-only", "initial-only", "offline"],
     )
     def test_reprimed_after_a_fine_tune_only(self, mode, learning_rate, reprimed):
-        # the windows in flight are re-encoded after every fine-tune, also a
-        # rolled-back one, and never when the weights cannot change; either
-        # way each loss is the score of its window under the current weights
+        # the scorer primes its stream at the first process and re-primes it
+        # after every fine-tune, also a rolled-back one, and never when the
+        # weights cannot change; either way each loss is the score of its
+        # window under the current weights
         records = [
             r.to_stream()
             for r in synthetic_stream(SyntheticConfig(n_records=90, n_features=3), seed=5)
@@ -642,19 +647,13 @@ class TestReprime:
         )
         config = EngineConfig(scorer=scorer_cfg, update_interval=20, seed=1, mode=mode)
         engine = OnlineAnomalyDetector(config, scorer=LstmVaeScorer(scorer_cfg))
-        positions = []
-        real_prime = engine.scorer.prime
-
-        def spy(states, rows, position):
-            positions.append(position)
-            real_prime(states, rows, position)
-
-        engine.scorer.prime = spy
+        positions = spy_primes(engine.scorer)
         engine.bootstrap(records[:40])
-        assert positions == [0]
+        assert positions == []
         before = {k: v.copy() for k, v in engine.scorer.params.items()}
         for r in records[40:60]:
             engine.process(r)
+        assert positions == [0]
         report = engine.maybe_retrain()
         assert report.scorer_windows > 0
         assert ("scorer_rolled_back" in report.notes) == (learning_rate > 1)
@@ -663,6 +662,27 @@ class TestReprime:
         assert positions == ([0, 20] if reprimed else [0])
         rows = np.array([r.features for r in records])
         for j in range(60, 90):
+            verdict = engine.process(records[j])
+            assert verdict.loss == pytest.approx(engine.scorer.score(rows[j - 3 : j + 1]), rel=1e-12)
+        assert positions == ([0, 20] if reprimed else [0])
+
+    def test_second_bootstrap_rebuilds_the_stream(self):
+        # a second bootstrap keeps the stream position and replaces the rows
+        # before it, so the scorer's memo must be keyed on its rows too
+        records = [
+            r.to_stream()
+            for r in synthetic_stream(SyntheticConfig(n_records=120, n_features=3), seed=8)
+        ]
+        scorer_cfg = ScorerConfig(timestep=4, n_features=3, hidden_size=4, latent_size=2, seed=2)
+        config = EngineConfig(scorer=scorer_cfg, update_interval=1000, seed=1)
+        engine = OnlineAnomalyDetector(config, scorer=LstmVaeScorer(scorer_cfg))
+        engine.bootstrap(records[:40])
+        for r in records[40:60]:
+            engine.process(r)
+        engine.bootstrap(records[60:100])
+        assert engine.samples_seen == 20
+        rows = np.array([r.features for r in records])
+        for j in range(100, 120):
             verdict = engine.process(records[j])
             assert verdict.loss == pytest.approx(engine.scorer.score(rows[j - 3 : j + 1]), rel=1e-12)
 

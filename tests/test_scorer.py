@@ -268,22 +268,27 @@ class TestTextbookReference:
         assert s.score_many(wins) == pytest.approx(expected, rel=1e-12)
 
 
-def stream_losses(scorer, rows, start, primes=()):
+def stream_losses(scorer, rows, start, cuts=()):
     """Stream ``rows``, whose first row is at stream position ``start``, and
-    return the loss of every window that completes, in order. The states
-    are re-primed from the last T - 1 rows before each position in
-    ``primes``, after being filled with garbage."""
+    return the loss of every window that completes, in order, and the
+    positions the scorer primed at. Before each position in ``cuts`` the
+    scorer's memo goes stale: at an even one a window of another stream is
+    scored in between, and at an odd one the window is scored twice."""
     t = scorer.config.timestep
-    states = scorer.encoder_states()
-    scorer.prime(states, rows[: t - 1], start + t - 1)
+    primes, real_prime = [], scorer._prime
+    scorer._prime = lambda head, position: primes.append(position) or real_prime(head, position)
     out = []
-    for e in range(t - 1, len(rows)):
-        if e in primes:
-            for a in (states.h, states.c):
-                a[...] = np.random.default_rng(e).normal(size=a.shape)
-            scorer.prime(states, rows[e - t + 1 : e], start + e)
-        out.append(scorer.score_stream(states, rows[e - t + 1 : e + 1], start + e))
-    return np.array(out)
+    try:
+        for e in range(t - 1, len(rows)):
+            window = rows[e - t + 1 : e + 1]
+            if e in cuts and e % 2 == 0:
+                scorer.score_stream(window[::-1] + 1.0, start + e + 3)
+            elif e in cuts:
+                scorer.score_stream(window, start + e)
+            out.append(scorer.score_stream(window, start + e))
+    finally:
+        del scorer._prime
+    return np.array(out), primes
 
 
 class TestStreaming:
@@ -293,13 +298,13 @@ class TestStreaming:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_score_many(self, t, d, h, l, n, start, primes, seed):
+    def test_matches_score_many(self, t, d, h, l, n, start, cuts, seed):
         s = LstmVaeScorer(
             ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l, seed=seed)
         )
         rows = np.random.default_rng(seed).normal(size=(t - 1 + n, d))
         expected = s.score_many(windows(rows, t))
-        got = stream_losses(s, rows, start, {p + t - 1 for p in primes})
+        got, _ = stream_losses(s, rows, start, {c + t - 1 for c in cuts})
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 40), st.data())
@@ -308,8 +313,11 @@ class TestStreaming:
         s = LstmVaeScorer(ScorerConfig(timestep=t, n_features=d, hidden_size=5, latent_size=3))
         rows = np.random.default_rng(n).normal(size=(t + n, d))
         k = data.draw(st.integers(t - 1, t - 1 + n), label="cut")
-        through = stream_losses(s, rows, 0)
-        assert np.array_equal(stream_losses(s, rows, 0, {k}), through)
+        through, primes = stream_losses(s, rows, 0)
+        assert primes == [t - 1]
+        cut, primes = stream_losses(s, rows, 0, {k})
+        assert np.array_equal(cut, through)
+        assert k in primes
 
     @pytest.mark.parametrize("d", [8, 39])
     def test_re_primed_stream_is_bit_identical_at_default_geometry(self, d):
@@ -317,15 +325,35 @@ class TestStreaming:
         rng = np.random.default_rng(d)
         rows = rng.uniform(size=(120, d))
         cuts = set(rng.choice(np.arange(29, 120), size=4, replace=False).tolist())
-        through = stream_losses(s, rows, 7)
-        assert np.array_equal(stream_losses(s, rows, 7, cuts), through)
+        through, _ = stream_losses(s, rows, 7)
+        cut, primes = stream_losses(s, rows, 7, cuts)
+        assert np.array_equal(cut, through)
+        assert {7 + c for c in cuts} <= set(primes)
         assert through == pytest.approx(s.score_many(windows(rows, 30)), rel=1e-12)
 
     def test_rejects_a_wrong_window(self):
         s = toy_scorer()
-        states = s.encoder_states()
         with pytest.raises(ShapeMismatchError):
-            s.score_stream(states, np.zeros((2, 2)), 0)
+            s.score_stream(np.zeros((2, 2)), 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_train_changes_nothing(self):
+        # a fine-tune whose loss overflows is rolled back: the weights, the
+        # rng and the stream go on as if it had never run
+        rows = np.random.default_rng(9).uniform(size=(40, 2))
+        s, reference = (toy_scorer(seed=3, learning_rate=1e6, batch_size=4) for _ in range(2))
+        for scorer in (s, reference):
+            stream_losses(scorer, rows[:30], 0)
+        params = {k: v.copy() for k, v in s.params.items()}
+        rng_state = s.rng.bit_generator.state
+        with pytest.raises(NonFiniteError):
+            s.train(windows(rows, 3), epochs=3)
+        for k, v in params.items():
+            assert np.array_equal(s.params[k], v), k
+        assert s.rng.bit_generator.state == rng_state
+        for e in range(30, 40):
+            window = rows[e - 2 : e + 1]
+            assert s.score_stream(window, e) == reference.score_stream(window, e)
 
 
 class TestGradients:
