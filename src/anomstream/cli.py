@@ -289,7 +289,6 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
         detector.process(record.to_stream())
         detector.maybe_retrain()
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     scores = _composite_scores(recorder.verdicts)
     _write_verdicts(out_dir / "verdicts.csv", recorder.verdicts, scores)
     _write_thresholds(out_dir / "thresholds.csv", recorder)
@@ -310,9 +309,25 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     return report
 
 
+def _out_path(path: str, directory: bool) -> Path:
+    """``--out``, checked before any record is read, with the directories it needs created.
+
+    A path that cannot be created, or a directory given for a file (or a
+    file for a directory), is a usage error.
+    """
+    out = Path(path)
+    try:
+        (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise UsageError(f"cannot create --out {out}: {exc}") from None
+    if not directory and out.is_dir():
+        raise UsageError(f"--out {out} is a directory, not a file")
+    return out
+
+
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
-    report = _run_engine(config, Path(args.out))
+    report = _run_engine(config, _out_path(args.out, directory=True))
     print(f"run complete: mode={config.engine.mode} out={args.out}")
     if report is not None:
         sys.stdout.write(metrics_mod.report_text(report))
@@ -418,9 +433,8 @@ def _cmd_synth(args) -> int:
     # flags left out are absent from args, so their defaults are SyntheticConfig's
     fields = {f.name for f in dataclasses.fields(SyntheticConfig)}
     config = SyntheticConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    out = _out_path(args.out, directory=False)
     records = ingest.synthetic_stream(config, seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     feature_names = [f"f{i}" for i in range(config.n_features)]
     with out.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

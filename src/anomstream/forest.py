@@ -292,7 +292,7 @@ def _checked_tree(tree, n_features: int) -> dict:
 def load_forest(path) -> RandomForest:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON
+    except (ValueError, IsADirectoryError) as exc:  # not UTF-8, not JSON, a directory
         raise CorruptCheckpointError(f"forest checkpoint is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptCheckpointError("forest checkpoint is not a JSON object")

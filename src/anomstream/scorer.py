@@ -13,6 +13,8 @@ checkpoints round-trip bit-exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import zipfile
@@ -138,33 +140,40 @@ class LstmVaeScorer:
 
     # --------------------------------------------------------------- forward
 
-    def _lstm(self, xw: np.ndarray, wh: np.ndarray, need_cache: bool):
-        """One LSTM layer over ``xw``, the (T, B, 4H) input projections plus bias.
+    def _lstm(self, xw: np.ndarray, t: int, wh: np.ndarray, need_cache: bool):
+        """One LSTM layer of ``t`` steps over ``xw``, the input projections plus bias.
 
-        Returns the (T, B, H) hidden states and, with ``need_cache``, the
-        per-step gate values that ``_lstm_backward`` consumes.
+        ``xw`` holds the time-major (T, B, 4H) inputs, or the one (B, 4H) input
+        of a layer that reads the same input at every step. Returns the
+        (T, B, H) hidden states and, with ``need_cache``, the per-step gate
+        values that ``_lstm_backward`` consumes.
         """
-        t, b, _ = xw.shape
-        h_n = self.config.hidden_size
+        b, h_n = xw.shape[-2], self.config.hidden_size
         scale, shift = _gate_affine(b, h_n)
+        inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
         tc = np.empty((b, h_n))
         hs = np.empty((t, b, h_n))
-        # a cached step keeps its own gates, c and tanh(c); scoring overwrites one set
-        buffer = None if need_cache else np.empty((b, 4 * h_n))
-        steps = [] if need_cache else None
         wh_t = wh.T
-        for xw_t, h_out in zip(xw, hs):
-            a = np.matmul(h, wh_t, out=buffer)
+        if not need_cache:  # scoring overwrites one gate buffer, c and tanh(c) at every step
+            a = np.empty((b, 4 * h_n))
+            gates = _gate_views(a)
+            for xw_t, h_out in zip(inputs, hs):
+                np.matmul(h, wh_t, out=a)
+                a += xw_t
+                _cell(a, gates, c, c, tc, h_out, scale, shift)
+                h = h_out
+            return hs, None
+        steps = []  # a cached step keeps its own gates, c and tanh(c)
+        for xw_t, h_out in zip(inputs, hs):
+            a = np.matmul(h, wh_t)
             a += xw_t
-            c_prev, h_prev = c, h
-            if need_cache:
-                c, tc = np.empty((b, h_n)), np.empty((b, h_n))
-            gates = _cell(a, c_prev, c, tc, h_out, scale, shift)
-            h = h_out
-            if need_cache:
-                steps.append((*gates, c_prev, h_prev, tc))
+            gates = _gate_views(a)
+            c_next, tc = np.empty((b, h_n)), np.empty((b, h_n))
+            _cell(a, gates, c, c_next, tc, h_out, scale, shift)
+            steps.append((*gates, c, h, tc))
+            c, h = c_next, h_out
         return hs, steps
 
     def _encode_batch(self, x: np.ndarray, need_cache: bool = True):
@@ -173,14 +182,13 @@ class LstmVaeScorer:
         # the input projections of every step in one GEMM
         x_wx = (x.reshape(b * t, d) @ p["enc_wx"].T).reshape(b, t, -1)
         x_wx += p["enc_b"]
-        hs, steps = self._lstm(x_wx.transpose(1, 0, 2), p["enc_wh"], need_cache)
+        hs, steps = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], need_cache)
         return hs[-1], steps
 
     def _decode_batch(self, z: np.ndarray, t: int, need_cache: bool = True):
         p = self.params
         z_wx = z @ p["dec_wx"].T + p["dec_b"]
-        # the latent is the decoder's input at every step
-        hs, steps = self._lstm(np.broadcast_to(z_wx, (t, *z_wx.shape)), p["dec_wh"], need_cache)
+        hs, steps = self._lstm(z_wx, t, p["dec_wh"], need_cache)  # z is the input at every step
         # batch-major rows, so the output projection is one GEMM into (B, T, D)
         h_rows = hs.transpose(1, 0, 2).reshape(-1, hs.shape[2])
         xhat = (h_rows @ p["out_w"].T).reshape(z.shape[0], t, -1)
@@ -203,13 +211,13 @@ class LstmVaeScorer:
         z = reparameterize(mu, logvar, noise)
         xhat, h_dec, dec_steps = self._decode_batch(z, x.shape[1], need_cache)
         diff = xhat - x
-        recon = np.sum(diff * diff, axis=(1, 2))
+        recon = np.add.reduce(diff * diff, axis=(1, 2))
         kl_terms = -0.5 * (1.0 + logvar - mu * mu - np.exp(logvar))
-        kl = np.sum(kl_terms, axis=1)
-        if np.any(kl < -1e-9):
+        kl = np.add.reduce(kl_terms, axis=1)
+        if np.logical_or.reduce(kl < -1e-9):
             raise NonFiniteError("KL term is negative; loss computation is invalid")
         kl = np.maximum(kl, 0.0)
-        if not np.all(np.isfinite(recon + kl)):
+        if not np.logical_and.reduce(np.isfinite(recon + kl)):
             raise NonFiniteError("non-finite loss; the scorer has diverged")
         return recon, kl, (mu, logvar, z, diff, h_dec, dec_steps)
 
@@ -251,7 +259,7 @@ class LstmVaeScorer:
         np.matmul(row, p["enc_wx"].T, out=stream.xw)
         stream.xw += p["enc_b"]
         stream.a += stream.xw
-        _cell(stream.a, stream.c, stream.c, stream.tc, stream.h, stream.scale, stream.shift)
+        _cell(stream.a, stream.gates, stream.c, stream.c, stream.tc, stream.h, *stream.affine)
 
     def _prime(self, rows: np.ndarray, position: int) -> "_Stream":
         """A fresh stream memo for the window at ``position``, from ``rows``, the T - 1 before it.
@@ -437,7 +445,7 @@ class LstmVaeScorer:
         """Read a ``save`` checkpoint; a file that is not one raises ``CorruptCheckpointError``."""
         try:
             data = np.load(path, allow_pickle=False)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        except (ValueError, EOFError, zipfile.BadZipFile, IsADirectoryError) as exc:
             raise CorruptCheckpointError(f"not a scorer checkpoint: {exc}") from None
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise CorruptCheckpointError("not a scorer checkpoint: one array, not an archive")
@@ -466,23 +474,32 @@ class LstmVaeScorer:
         return scorer
 
 
+@functools.lru_cache(maxsize=2)  # sizes live together: a batch and its remainder, or T and 1
 def _gate_affine(b: int, h_n: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) that ``_cell`` applies around its ``tanh``, for B rows of 4H gates.
 
     (B, 4H), not one broadcast row: same-shape operands take numpy's
-    single-loop fast path.
+    single-loop fast path. Memoized, so both are read-only.
     """
     scale = np.full((b, 4 * h_n), 0.5)
     scale[:, 2 * h_n : 3 * h_n] = 1.0
-    return scale, 1.0 - scale
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
-def _cell(a, c_prev, c, tc, h, scale, shift):
+def _gate_views(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (input, forget, cell, output) (B, H) views of the (B, 4H) gate buffer ``a``."""
+    h_n = a.shape[1] // 4
+    return a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
+
+
+def _cell(a, gates, c_prev, c, tc, h, scale, shift):
     """One LSTM step over B rows, in place, from the (B, 4H) pre-activation ``a``.
 
-    ``a`` becomes the gates; the new cell state is written to ``c`` (which
-    may be ``c_prev``), its tanh to ``tc`` and the hidden state to ``h``.
-    Returns the (input, forget, cell, output) gate views.
+    ``a`` becomes the gates, which ``gates`` views (``_gate_views``); the new
+    cell state is written to ``c`` (which may be ``c_prev``), its tanh to
+    ``tc`` and the hidden state to ``h``.
 
     All four gates come from one ``tanh`` over ``a``, by sigmoid(x) =
     tanh(x / 2) / 2 + 1 / 2: the i, f and o slices are halved before the
@@ -490,19 +507,16 @@ def _cell(a, c_prev, c, tc, h, scale, shift):
     is. Halving is exact, so each gate is bit-identical to a sigmoid or
     tanh taken on its own slice.
     """
-    h_n = a.shape[1] // 4
+    gi, gf, gg, go = gates
     a *= scale
     np.tanh(a, out=a)
     a *= scale
     a += shift
-    gi, gf = a[:, :h_n], a[:, h_n : 2 * h_n]
-    gg, go = a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
     np.multiply(gf, c_prev, out=c)
     np.multiply(gi, gg, out=tc)  # i * g, before tc takes tanh(c)
     c += tc
     np.tanh(c, out=tc)
     np.multiply(go, tc, out=h)
-    return gi, gf, gg, go
 
 
 class _Stream:
@@ -522,5 +536,6 @@ class _Stream:
         self.c = np.zeros((timestep, hidden_size))
         self.tc = np.empty((timestep, hidden_size))
         self.a = np.empty((timestep, 4 * hidden_size))
+        self.gates = _gate_views(self.a)
         self.xw = np.empty(4 * hidden_size)
-        self.scale, self.shift = _gate_affine(timestep, hidden_size)
+        self.affine = _gate_affine(timestep, hidden_size)

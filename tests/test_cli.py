@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anomstream
+from anomstream import ingest
 from anomstream.cli import main
 from anomstream.engine import EngineConfig
 from anomstream.forest import ForestConfig
@@ -540,6 +541,37 @@ class TestInputFiles:
         assert self._main(inputs, "run-schema", "bad.json") == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "bad.json" in err
+
+
+class TestOutPath:
+    """A bad ``--out`` is a usage error, raised before any record is read or written."""
+
+    @pytest.fixture(autouse=True)
+    def no_records(self, monkeypatch):
+        def read(*args, **kwargs):
+            pytest.fail("records were read before --out was checked")
+
+        monkeypatch.setattr(ingest, "synthetic_stream", read)
+        monkeypatch.setattr(ingest, "load_csv", read)
+
+    # {} is a file holding "keep" and {d} an empty directory
+    COMMANDS = {
+        "run-out-is-a-file": ["run", "--config", "{cfg}", "--out", "{}"],
+        "run-out-under-a-file": ["run", "--config", "{cfg}", "--out", "{}/run"],
+        "synth-out-is-a-directory": ["synth", "--out", "{d}", "--n", "10"],
+        "synth-out-under-a-file": ["synth", "--out", "{}/stream.csv", "--n", "10"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_out_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg, afile, adir = tmp_path / "config.json", tmp_path / "afile", tmp_path / "adir"
+        cfg.write_text(json.dumps(SMALL_RUN_CONFIG))
+        afile.write_text("keep")
+        adir.mkdir()
+        argv = [arg.format(afile, cfg=cfg, d=adir) for arg in self.COMMANDS[command]]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert afile.read_text() == "keep" and not any(adir.iterdir())
 
 
 class TestModuleEntryPoint:

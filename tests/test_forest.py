@@ -615,11 +615,16 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match=match):
             load_forest(path)
 
-    @pytest.mark.parametrize("data", [b"not json", b"{\"format_version\": 1,", b"\xff\xfe{}"],
-                             ids=["text", "truncated", "not-utf8"])
+    @pytest.mark.parametrize(
+        "data", [b"not json", b"{\"format_version\": 1,", b"\xff\xfe{}", None],
+        ids=["text", "truncated", "not-utf8", "directory"],
+    )
     def test_non_json_file_rejected(self, tmp_path, data):
         path = tmp_path / "forest.json"
-        path.write_bytes(data)
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
         with pytest.raises(CorruptCheckpointError, match="not JSON"):
             load_forest(path)
 

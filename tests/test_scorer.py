@@ -151,6 +151,27 @@ class TestForward:
         assert value.kl == pytest.approx(kl_expected, abs=1e-12)
 
 
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 7]), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lstm_branches_and_input_forms_agree_bitwise(self, t, b, h, seed):
+        # the cached (training) and no-cache (scoring) loops run the same ops,
+        # and a constant (B, 4H) input is read as its (T, B, 4H) broadcast would be
+        s = toy_scorer(hidden_size=h)
+        rng = np.random.default_rng(seed)
+        wh = rng.normal(size=(4 * h, h))
+        per_step, constant = rng.normal(size=(t, b, 4 * h)), rng.normal(size=(b, 4 * h))
+        inputs = {"per_step": per_step, "constant": constant,
+                  "broadcast": np.broadcast_to(constant, (t, b, 4 * h))}
+        hidden = {}
+        for name, xw in inputs.items():
+            cached, steps = s._lstm(xw, t, wh, need_cache=True)
+            hidden[name], no_steps = s._lstm(xw, t, wh, need_cache=False)
+            assert len(steps) == t and no_steps is None
+            assert cached.tobytes() == hidden[name].tobytes(), name
+        assert hidden["constant"].tobytes() == hidden["broadcast"].tobytes()
+
+
 class TestReparameterize:
     def test_zero_noise_returns_mu(self):
         mu = np.array([1.0, -2.0])
@@ -503,11 +524,14 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match=match):
             LstmVaeScorer.load(bad)
 
-    @pytest.mark.parametrize("data", [b"junk", b"PK\x03\x04junk", b""],
-                             ids=["bytes", "broken-zip", "empty"])
+    @pytest.mark.parametrize("data", [b"junk", b"PK\x03\x04junk", b"", None],
+                             ids=["bytes", "broken-zip", "empty", "directory"])
     def test_non_archive_file_rejected(self, tmp_path, data):
         path = tmp_path / "scorer.npz"
-        path.write_bytes(data)
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
         with pytest.raises(CorruptCheckpointError, match="not a scorer checkpoint"):
             LstmVaeScorer.load(path)
 
