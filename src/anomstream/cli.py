@@ -103,6 +103,11 @@ def _build(cls, section, where: str, **derived):
         raise UsageError(f"{where}: {exc}") from None
 
 
+def _check_seed(seed: int, where: str) -> None:
+    if seed < 0:
+        raise UsageError(f"{where} must be >= 0, got {seed}")
+
+
 def _resolve_split(split) -> dict:
     """``stream.split`` with its defaults filled in, checked before any record is read."""
     hints = {"kind": str, "first": float | list, "train": float, "test": float | list}
@@ -153,12 +158,9 @@ def _load_run_config(args) -> _RunConfig:
             raise UsageError(f"config file not found or not a file: {path}")
         doc = json.loads(path.read_text(encoding="utf-8"))
     doc = _checked(doc, "config", dict.fromkeys(("engine", "scorer", "forest", "stream"), dict))
-    engine = _build(engine_mod.EngineConfig, doc.get("engine", {}), "engine", scorer=None,
-                    forest=_build(ForestConfig, doc.get("forest", {}), "forest"))
-    if args.seed is not None:
-        engine.seed = args.seed
-    if args.mode is not None:
-        engine.mode = args.mode
+    flags = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
+    engine = _build(engine_mod.EngineConfig, {**doc.get("engine", {}), **flags}, "engine",
+                    scorer=None, forest=_build(ForestConfig, doc.get("forest", {}), "forest"))
     # scorer.seed and stream.synthetic.seed default to engine.seed
     scorer = {"seed": engine.seed, **doc.get("scorer", {})}
     engine.scorer = _build(ScorerConfig, scorer, "scorer", n_features=1)
@@ -174,6 +176,7 @@ def _load_run_config(args) -> _RunConfig:
         raise UsageError("csv source needs both a path and a schema")
     synthetic = dict(stream.get("synthetic", {}))
     seed_doc = _checked({"seed": synthetic.pop("seed", engine.seed)}, "stream.synthetic", {"seed": int})
+    _check_seed(seed_doc["seed"], "stream.synthetic.seed")
     synthetic = _build(SyntheticConfig, synthetic, "stream.synthetic")
     stream = {"source": source, "csv": csv_doc, "split": _resolve_split(stream.get("split", {})),
               "synthetic": {**dataclasses.asdict(synthetic), **seed_doc}}
@@ -215,23 +218,11 @@ def _composite_scores(verdicts) -> np.ndarray:
     return metrics_mod.composite_scores(losses, routes, votes)
 
 
-def _write_verdicts(path: Path, verdicts, scores: np.ndarray) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(VERDICT_COLUMNS)
-        for v, score in zip(verdicts, scores):
-            writer.writerow(
-                [v.index, _fmt_float(v.loss), v.route.value, v.label.display,
-                 _fmt_float(v.t1), _fmt_float(v.t2), _fmt_float(score)]
-            )
-
-
-def _write_thresholds(path: Path, recorder: _RunRecorder) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["samples_seen", "event", "t1", "t2"])
-        for samples_seen, event, t1, t2 in recorder.threshold_rows:
-            writer.writerow([samples_seen, event, _fmt_float(t1), _fmt_float(t2)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _evaluate_slice(verdicts, scores: np.ndarray, test_records) -> dict | None:
@@ -290,8 +281,15 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
         detector.maybe_retrain()
 
     scores = _composite_scores(recorder.verdicts)
-    _write_verdicts(out_dir / "verdicts.csv", recorder.verdicts, scores)
-    _write_thresholds(out_dir / "thresholds.csv", recorder)
+    _write_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS, (
+        [v.index, _fmt_float(v.loss), v.route.value, v.label.display,
+         _fmt_float(v.t1), _fmt_float(v.t2), _fmt_float(score)]
+        for v, score in zip(recorder.verdicts, scores)
+    ))
+    _write_csv(out_dir / "thresholds.csv", ["samples_seen", "event", "t1", "t2"], (
+        [samples_seen, event, _fmt_float(t1), _fmt_float(t2)]
+        for samples_seen, event, t1, t2 in recorder.threshold_rows
+    ))
     detector.scorer.save(out_dir / "scorer.npz")
     if detector.forest is not None:
         save_forest(detector.forest, out_dir / "forest.json")
@@ -309,8 +307,8 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     return report
 
 
-def _out_path(path: str, directory: bool) -> Path:
-    """``--out``, checked before any record is read, with the directories it needs created.
+def _out_path(path: str, flag: str, directory: bool = False) -> Path:
+    """The output path given to ``flag``, checked before any work, with its directories created.
 
     A path that cannot be created, or a directory given for a file (or a
     file for a directory), is a usage error.
@@ -319,15 +317,15 @@ def _out_path(path: str, directory: bool) -> Path:
     try:
         (out if directory else out.parent).mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission
-        raise UsageError(f"cannot create --out {out}: {exc}") from None
+        raise UsageError(f"cannot create {flag} {out}: {exc}") from None
     if not directory and out.is_dir():
-        raise UsageError(f"--out {out} is a directory, not a file")
+        raise UsageError(f"{flag} {out} is a directory, not a file")
     return out
 
 
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
-    report = _run_engine(config, _out_path(args.out, directory=True))
+    report = _run_engine(config, _out_path(args.out, "--out", directory=True))
     print(f"run complete: mode={config.engine.mode} out={args.out}")
     if report is not None:
         sys.stdout.write(metrics_mod.report_text(report))
@@ -374,6 +372,7 @@ def _cmd_fit(args) -> int:
         raise InvalidPercentileError(
             f"percentile must lie in (0, 1), got {args.percentile}"
         )
+    pp_out = _out_path(args.pp_out, "--pp-out") if args.pp_out else None
     sample = _read_column(Path(args.csv), args.column)
     threshold, fit = thresholds.adaptive_threshold(sample, args.percentile)
     print(f"family={fit.family.value}")
@@ -381,13 +380,10 @@ def _cmd_fit(args) -> int:
     print(f"scale={fit.scale!r}")
     print(f"ks_statistic={fit.gof!r}")
     print(f"threshold={threshold!r}")
-    if args.pp_out:
-        points = thresholds.pp_points(sample, fit)
-        with Path(args.pp_out).open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["empirical", "theoretical"])
-            for emp, theo in points:
-                writer.writerow([_fmt_float(emp), _fmt_float(theo)])
+    if pp_out:
+        _write_csv(pp_out, ["empirical", "theoretical"], (
+            [_fmt_float(emp), _fmt_float(theo)] for emp, theo in thresholds.pp_points(sample, fit)
+        ))
     return EXIT_OK
 
 
@@ -433,21 +429,21 @@ def _cmd_synth(args) -> int:
     # flags left out are absent from args, so their defaults are SyntheticConfig's
     fields = {f.name for f in dataclasses.fields(SyntheticConfig)}
     config = SyntheticConfig(**{k: v for k, v in vars(args).items() if k in fields})
-    out = _out_path(args.out, directory=False)
+    _check_seed(args.seed, "--seed")
+    out = _out_path(args.out, "--out")
+    schema_out = _out_path(args.schema_out, "--schema-out") if args.schema_out else None
     records = ingest.synthetic_stream(config, seed=args.seed)
     feature_names = [f"f{i}" for i in range(config.n_features)]
-    with out.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(feature_names + ["label"])
-        for r in records:
-            writer.writerow([_fmt_float(v) for v in r.features] + [r.truth.display])
-    if args.schema_out:
+    _write_csv(out, feature_names + ["label"], (
+        [_fmt_float(v) for v in r.features] + [r.truth.display] for r in records
+    ))
+    if schema_out:
         schema = CsvSchema(
             feature_columns=feature_names,
             label_column="label",
             label_map={"normal": Label.NORMAL, "abnormal": Label.ABNORMAL},
         )
-        schema.to_json(args.schema_out)
+        schema.to_json(schema_out)
     print(f"wrote {len(records)} records to {out}")
     return EXIT_OK
 

@@ -70,29 +70,6 @@ class Verdict:
     votes: tuple[int, int] | None = None
 
 
-class LossBuffer:
-    """Bounded FIFO queue of scalar losses; eviction is strictly oldest-first."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._values: deque[float] = deque(maxlen=capacity)
-
-    def append(self, value: float) -> None:
-        self._values.append(float(value))
-
-    def extend(self, values) -> None:
-        for v in values:
-            self.append(v)
-
-    def values(self) -> np.ndarray:
-        return np.fromiter(self._values, dtype=float, count=len(self._values))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 @dataclass
 class EngineConfig:
     """Knobs of the online loop; scorer/forest geometry ride along."""
@@ -117,6 +94,8 @@ class EngineConfig:
             raise ValueError("abnormal_warmup and update_interval must be >= 1")
         if self.abnormal_warmup > self.buffer_capacity:
             raise ValueError("abnormal_warmup cannot exceed buffer_capacity")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,24 +147,13 @@ class OnlineAnomalyDetector:
         self.scorer = scorer if scorer is not None else LstmVaeScorer(config.scorer)
         self._sink = sink
 
-        self.normal_losses = LossBuffer(config.buffer_capacity)
-        self.abnormal_losses = LossBuffer(config.buffer_capacity)
+        self.normal_losses: deque[float] = deque(maxlen=config.buffer_capacity)
+        self.abnormal_losses: deque[float] = deque(maxlen=config.buffer_capacity)
         self.thresholds: ThresholdPair | None = None
         self.forest: RandomForest | None = None
         self.samples_seen = 0
         self.retrains_done = 0
-
-        # the pending interval: _rows[:timestep - 1] holds the feature rows
-        # before it, then one row per pending record; _labels and _routes
-        # hold each pending record's label and route code. The arrays double
-        # when full and keep their size across retrains.
-        self._rows = np.empty((0, config.scorer.n_features))
-        self._labels = np.empty(0, dtype=np.int8)
-        self._routes = np.empty(0, dtype=np.int8)
-        # pending records, and how many were labelled normal and routed to the
-        # classifier: counted as they come, since counting the arrays in
-        # maybe_retrain costs a noticeable share of a pause without a fine-tune
-        self._pending = self._normal = self._classified = 0
+        self._start_interval(np.empty((0, config.scorer.n_features)))
         self._forest_seeds = np.random.SeedSequence(config.seed)
 
     # ------------------------------------------------------------- lifecycle
@@ -200,6 +168,22 @@ class OnlineAnomalyDetector:
         if self.thresholds is None or self.thresholds.t2 is None:
             return Phase.INITIAL
         return Phase.STEADY
+
+    def _start_interval(self, head_rows: np.ndarray) -> None:
+        """Start an empty pending interval after the feature rows ``head_rows``.
+
+        _rows[:timestep - 1] holds the feature rows before the interval, then
+        one row per pending record; _labels and _routes hold each pending
+        record's label and route code. The arrays double when full and keep
+        their size across retrains.
+        """
+        self._rows = head_rows
+        self._labels = np.empty(0, dtype=np.int8)
+        self._routes = np.empty(0, dtype=np.int8)
+        # pending records, and how many were labelled normal and routed to the
+        # classifier: counted as they come, since counting the arrays in
+        # maybe_retrain costs a noticeable share of a pause without a fine-tune
+        self._pending = self._normal = self._classified = 0
 
     def _emit(self, event: EngineEvent) -> None:
         if self._sink is not None:
@@ -222,18 +206,16 @@ class OnlineAnomalyDetector:
         if not self._pretrained:
             self.scorer.train(first_windows, self.config.scorer.epochs_initial)
         losses = self.scorer.score_many(first_windows)
-        # fit on what the buffer would hold, so a failed fit leaves it as it was
-        held = np.concatenate([self.normal_losses.values(), losses])
+        # fit on a copy of the buffer, so a failed fit leaves it as it was
+        held = self.normal_losses.copy()
+        held.extend(losses)
         try:
-            t1, fit = adaptive_threshold(held[-self.normal_losses.capacity :], self.config.p1)
+            t1, fit = adaptive_threshold(np.fromiter(held, float, len(held)), self.config.p1)
         except DegenerateSampleError as exc:
             raise InsufficientDataError(f"first-round losses are degenerate: {exc}") from exc
-        self.normal_losses.extend(losses)
+        self.normal_losses = held
         self._install(t1, fit, None, None)
-        self._rows = features[len(features) - (t - 1) :].copy()
-        self._labels = np.empty(0, dtype=np.int8)
-        self._routes = np.empty(0, dtype=np.int8)
-        self._pending = self._normal = self._classified = 0
+        self._start_interval(features[len(features) - (t - 1) :].copy())
 
     # -------------------------------------------------------------- routing
 
@@ -313,10 +295,10 @@ class OnlineAnomalyDetector:
 
     # ------------------------------------------------------------ retraining
 
-    def _refit(self, buffer: LossBuffer, p: float, name: str):
+    def _refit(self, buffer: deque[float], p: float, name: str):
         """(threshold, fit) at ``p`` from ``buffer``, or None if it cannot be fitted."""
         try:
-            return adaptive_threshold(buffer.values(), p)
+            return adaptive_threshold(np.fromiter(buffer, float, len(buffer)), p)
         except (EmptyBufferError, DegenerateSampleError) as exc:
             logger.warning("cannot refit %s: %s", name, exc)
             return None

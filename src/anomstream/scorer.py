@@ -69,8 +69,8 @@ class ScorerConfig:
             raise ValueError("timestep and n_features must be >= 1")
         if self.hidden_size < 1 or self.latent_size < 1:
             raise ValueError("hidden_size and latent_size must be >= 1")
-        if self.batch_size < 1 or self.epochs_initial < 0 or self.epochs_update < 0:
-            raise ValueError("batch_size must be >= 1, epochs_initial and epochs_update >= 0")
+        if self.batch_size < 1 or min(self.epochs_initial, self.epochs_update, self.seed) < 0:
+            raise ValueError("batch_size must be >= 1; epochs_initial, epochs_update, seed >= 0")
         if not (self.learning_rate > 0 and self.adam_eps > 0
                 and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("learning_rate and adam_eps must be > 0, adam betas in [0, 1)")

@@ -267,7 +267,7 @@ def test_criterion_6_engine_fuzz(criterion_report):
 
     from collections import deque
 
-    normal_mirror = deque(engine.normal_losses.values().tolist(), maxlen=capacity)
+    normal_mirror = deque(engine.normal_losses, maxlen=capacity)
     abnormal_mirror = deque(maxlen=capacity)
     phase_changes = 0
     last_phase = engine.phase
@@ -292,8 +292,8 @@ def test_criterion_6_engine_fuzz(criterion_report):
         if engine.maybe_retrain() is not None:
             retrain_steps.append(step)
         if step % 100_000 == 0:
-            assert engine.normal_losses.values().tolist() == list(normal_mirror)
-            assert engine.abnormal_losses.values().tolist() == list(abnormal_mirror)
+            assert list(engine.normal_losses) == list(normal_mirror)
+            assert list(engine.abnormal_losses) == list(abnormal_mirror)
     elapsed = time.time() - start
     assert phase_changes == 1
     assert retrain_steps == list(range(interval, n - 200 + 1, interval))

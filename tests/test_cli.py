@@ -209,6 +209,9 @@ class TestConfig:
             {"stream": {"synthetic": {"anomaly_burst": 0}}},
             {"stream": {"synthetic": {"drift_start": 1.5}}},
             {"stream": {"synthetic": {"drift_start": -0.5}}},
+            {"engine": {"seed": -1}},
+            {"scorer": {"seed": -2}},
+            {"stream": {"synthetic": {"seed": -3}}},
         ],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):
@@ -216,6 +219,20 @@ class TestConfig:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("source", [[], ["--csv", "stream.csv", "--schema", "schema.json"]],
+                             ids=["synthetic", "csv"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, source):
+        def read(*args, **kwargs):
+            pytest.fail("records were read before --seed was checked")
+
+        monkeypatch.setattr(ingest, "synthetic_stream", read)
+        monkeypatch.setattr(ingest, "load_csv", read)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--out", "x", "--seed", "-1", *source]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "seed" in err
         assert not (tmp_path / "x").exists()
 
     @settings(max_examples=80, deadline=None)
@@ -407,7 +424,7 @@ class TestFit:
             writer.writerow(["loss"])
             for v in rng.lognormal(0.3, 0.6, size=3000):
                 writer.writerow([repr(float(v))])
-        pp = tmp_path / "pp.csv"
+        pp = tmp_path / "missing" / "pp.csv"  # --pp-out creates the directories it needs
         assert main(["fit", "--csv", str(path), "--column", "loss",
                      "--percentile", "0.98", "--pp-out", str(pp)]) == 0
         out = capsys.readouterr().out
@@ -447,8 +464,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flags",
         [["--features", "0"], ["--n", "-1"], ["--rate", "nan"], ["--burst", "0"],
-         ["--drift-start", "2"]],
-        ids=["no_features", "negative_n", "nan_rate", "zero_burst", "drift_start_past_end"],
+         ["--drift-start", "2"], ["--seed", "-1"]],
+        ids=["no_features", "negative_n", "nan_rate", "zero_burst", "drift_start_past_end",
+             "negative_seed"],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "stream.csv"
@@ -544,15 +562,16 @@ class TestInputFiles:
 
 
 class TestOutPath:
-    """A bad ``--out`` is a usage error, raised before any record is read or written."""
+    """A bad output path is a usage error, raised before any input is read or written."""
 
     @pytest.fixture(autouse=True)
     def no_records(self, monkeypatch):
         def read(*args, **kwargs):
-            pytest.fail("records were read before --out was checked")
+            pytest.fail("input was read before the output paths were checked")
 
         monkeypatch.setattr(ingest, "synthetic_stream", read)
         monkeypatch.setattr(ingest, "load_csv", read)
+        monkeypatch.setattr(ingest, "open_text", read)
 
     # {} is a file holding "keep" and {d} an empty directory
     COMMANDS = {
@@ -572,6 +591,34 @@ class TestOutPath:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert afile.read_text() == "keep" and not any(adir.iterdir())
+
+    # the output flags besides --out; {csv} is a loss column and {s} the synth stream CSV
+    FLAGS = {
+        "fit-pp-out-is-a-directory":
+            ["fit", "--csv", "{csv}", "--column", "loss", "--percentile", "0.9",
+             "--pp-out", "{d}"],
+        "fit-pp-out-under-a-file":
+            ["fit", "--csv", "{csv}", "--column", "loss", "--percentile", "0.9",
+             "--pp-out", "{}/pp.csv"],
+        "synth-schema-out-is-a-directory":
+            ["synth", "--out", "{s}", "--n", "10", "--schema-out", "{d}"],
+        "synth-schema-out-under-a-file":
+            ["synth", "--out", "{s}", "--n", "10", "--schema-out", "{}/schema.json"],
+    }
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_bad_output_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        afile, adir, stream = tmp_path / "afile", tmp_path / "adir", tmp_path / "stream.csv"
+        column = tmp_path / "loss.csv"
+        column.write_text("loss\n1.0\n2.0\n3.0\n")
+        afile.write_text("keep")
+        adir.mkdir()
+        argv = [arg.format(afile, d=adir, s=stream, csv=column) for arg in self.FLAGS[command]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and argv[-2] in err
+        assert afile.read_text() == "keep" and not any(adir.iterdir())
+        assert not stream.exists()
 
 
 class TestModuleEntryPoint:

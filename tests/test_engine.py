@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from anomstream import engine as engine_mod
 from anomstream.engine import (
     EngineConfig,
-    LossBuffer,
     OnlineAnomalyDetector,
     Phase,
     PhaseTransitionEvent,
@@ -96,23 +95,16 @@ def bootstrap_losses(rng, n=100):
     return rng.lognormal(0.0, 0.4, size=n)
 
 
-class TestLossBuffer:
-    def test_capacity_bound_and_fifo(self):
-        buf = LossBuffer(5)
-        for i in range(8):
-            buf.append(float(i))
-        assert len(buf) == 5
-        assert buf.values().tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            LossBuffer(0)
-
-
 class TestEngineConfig:
     @pytest.mark.parametrize("name", ["p1", "p2"])
     @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1])
     def test_rejects_percentile_outside_open_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("buffer_capacity", 0), ("seed", -1)],
+                             ids=["buffer_capacity", "seed"])
+    def test_rejects_out_of_range_value(self, name, value):
         with pytest.raises(ValueError, match=name):
             EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
 
@@ -175,6 +167,19 @@ class TestRoutingInitialPhase:
         assert verdict.label is Label.ABNORMAL
         assert verdict.route is Route.HIGH_CONF_ABNORMAL
         assert len(engine.abnormal_losses) == 1
+
+
+class TestLossBuffers:
+    def test_hold_the_last_capacity_losses_in_arrival_order(self):
+        capacity = 20
+        engine = stub_engine(bootstrap_losses(np.random.default_rng(3)), capacity=capacity)
+        losses = [0.1 + 0.001 * i if i % 2 else 100.0 + i for i in range(5 * capacity)]
+        verdicts = [engine.process(r) for r in records_from_losses(losses, start_index=100)]
+        for route, buffer in ((Route.HIGH_CONF_NORMAL, engine.normal_losses),
+                              (Route.HIGH_CONF_ABNORMAL, engine.abnormal_losses)):
+            routed = [v.loss for v in verdicts if v.route is route]
+            assert len(routed) > capacity
+            assert list(buffer) == routed[-capacity:]
 
 
 class TestPhaseTransition:
@@ -486,8 +491,8 @@ class TestRejectedRecords:
             dirty_verdicts.append(dirty.process(r.to_stream()))
         assert dirty_verdicts == clean_verdicts
         assert dirty.samples_seen == clean.samples_seen == 50
-        assert np.array_equal(dirty.normal_losses.values(), clean.normal_losses.values())
-        assert np.array_equal(dirty.abnormal_losses.values(), clean.abnormal_losses.values())
+        assert dirty.normal_losses == clean.normal_losses
+        assert dirty.abnormal_losses == clean.abnormal_losses
 
     def test_record_that_fails_to_score_changes_no_state(self):
         # a scorer whose loss overflows rejects the record; with its weights
@@ -526,7 +531,7 @@ class TestRejectedRecords:
         assert len(engine.normal_losses) == 0
         engine.bootstrap(records_from_losses(good))
         assert engine.thresholds == reference.thresholds
-        assert np.array_equal(engine.normal_losses.values(), reference.normal_losses.values())
+        assert engine.normal_losses == reference.normal_losses
 
     def test_bad_first_round_changes_no_state(self):
         # real scorer, T=3: a bad first-round row is rejected before the
@@ -568,7 +573,7 @@ class TestRejectedRecords:
             assert engine.scorer.rng.bit_generator.state == rng_state
             engine.bootstrap(records)
             assert engine.thresholds == reference.thresholds
-            assert np.array_equal(engine.normal_losses.values(), reference.normal_losses.values())
+            assert engine.normal_losses == reference.normal_losses
 
 
 class TestPendingInterval:
@@ -771,8 +776,8 @@ class TestThresholdTrajectory:
                 loss = float(np.exp(rng.normal(0.0, 0.4)))
             engine.process(records_from_losses([loss], start_index=500 + i)[0])
             if engine.samples_seen % engine.config.update_interval == 0:
-                normal_snapshot = engine.normal_losses.values()
-                abnormal_snapshot = engine.abnormal_losses.values()
+                normal_snapshot = np.array(engine.normal_losses)
+                abnormal_snapshot = np.array(engine.abnormal_losses)
                 report = engine.maybe_retrain()
                 assert report is not None
                 fitted["t1"].append(report.new_t1)

@@ -48,7 +48,7 @@ class TestInit:
         "field, value",
         [("batch_size", 0), ("epochs_initial", -1), ("epochs_update", -1),
          ("learning_rate", 0.0), ("learning_rate", math.nan), ("adam_beta1", 1.0),
-         ("adam_beta2", -0.1), ("adam_eps", 0.0)],
+         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("seed", -1)],
     )
     def test_training_field_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -509,12 +509,13 @@ class TestCheckpoint:
             ({"config_json": np.array(json.dumps({**TOY, "timestep": 0}))}, "config"),
             ({"config_json": np.array("[1]")}, "config"),
             ({"config_json": np.array("not json")}, "config"),
+            ({"config_json": np.array(json.dumps({**TOY, "seed": -1}))}, "config"),
             ({"enc_b": np.array(["x"] * 32)}, "enc_b"),
             ({"out_w": np.zeros((2, 8), dtype=np.float32)}, "out_w"),
         ],
         ids=["no-enc_wx", "no-out_b", "no-config", "no-version", "version-2", "version-str",
              "version-list", "config-unknown-key", "config-bad-value", "config-not-object",
-             "config-not-json", "str-tensor", "float32-tensor"],
+             "config-not-json", "config-negative-seed", "str-tensor", "float32-tensor"],
     )
     def test_malformed_archive_rejected(self, tmp_path, changes, match):
         good = tmp_path / "scorer.npz"
