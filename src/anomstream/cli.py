@@ -103,11 +103,6 @@ def _build(cls, section, where: str, **derived):
         raise UsageError(f"{where}: {exc}") from None
 
 
-def _check_seed(seed: int, where: str) -> None:
-    if seed < 0:
-        raise UsageError(f"{where} must be >= 0, got {seed}")
-
-
 def _resolve_split(split) -> dict:
     """``stream.split`` with its defaults filled in, checked before any record is read."""
     hints = {"kind": str, "first": float | list, "train": float, "test": float | list}
@@ -138,7 +133,7 @@ class _RunConfig:
     """A checked ``run`` config; ``engine.scorer.n_features`` is 1 until the records are read."""
 
     engine: engine_mod.EngineConfig
-    stream: dict  # "source", "csv", "split", and "synthetic" with its "seed"
+    stream: dict  # "source", "csv" and "split"
     synthetic: SyntheticConfig
 
     def to_json(self) -> dict:
@@ -146,7 +141,8 @@ class _RunConfig:
         engine = dataclasses.asdict(self.engine)
         scorer, forest = engine.pop("scorer"), engine.pop("forest")
         del scorer["n_features"]  # the normalizer's, not settable
-        return {"engine": engine, "scorer": scorer, "forest": forest, "stream": self.stream}
+        stream = {**self.stream, "synthetic": dataclasses.asdict(self.synthetic)}
+        return {"engine": engine, "scorer": scorer, "forest": forest, "stream": stream}
 
 
 def _load_run_config(args) -> _RunConfig:
@@ -169,17 +165,14 @@ def _load_run_config(args) -> _RunConfig:
                       {"source": str, "split": dict, "synthetic": dict, "csv": dict})
     csv_doc = dict(_checked(stream.get("csv", {}), "stream.csv", {"path": str, "schema": str}))
     csv_doc.update((key, flag) for key, flag in (("path", args.csv), ("schema", args.schema)) if flag)
-    source = "synthetic" if args.synthetic else "csv" if args.csv else stream.get("source", "synthetic")
+    source = "csv" if args.csv else stream.get("source", "synthetic")
     if source not in ("synthetic", "csv"):
         raise UsageError(f"stream.source must be 'synthetic' or 'csv', got {source!r}")
     if source == "csv" and not {"path", "schema"} <= csv_doc.keys():
         raise UsageError("csv source needs both a path and a schema")
-    synthetic = dict(stream.get("synthetic", {}))
-    seed_doc = _checked({"seed": synthetic.pop("seed", engine.seed)}, "stream.synthetic", {"seed": int})
-    _check_seed(seed_doc["seed"], "stream.synthetic.seed")
-    synthetic = _build(SyntheticConfig, synthetic, "stream.synthetic")
-    stream = {"source": source, "csv": csv_doc, "split": _resolve_split(stream.get("split", {})),
-              "synthetic": {**dataclasses.asdict(synthetic), **seed_doc}}
+    synthetic = _build(SyntheticConfig, {"seed": engine.seed, **stream.get("synthetic", {})},
+                       "stream.synthetic")
+    stream = {"source": source, "csv": csv_doc, "split": _resolve_split(stream.get("split", {}))}
     return _RunConfig(engine, stream, synthetic)
 
 
@@ -248,7 +241,7 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
         schema = CsvSchema.from_json(config.stream["csv"]["schema"])
         records = ingest.load_csv(config.stream["csv"]["path"], schema).records
     else:
-        records = ingest.synthetic_stream(config.synthetic, seed=config.stream["synthetic"]["seed"])
+        records = ingest.synthetic_stream(config.synthetic)
 
     first, train, test = _split_records(records, config.stream["split"])
     if not first or not (train or test):
@@ -397,8 +390,9 @@ def _cmd_eval(args) -> int:
     truth_rows = _table(truth_path, ("index", "label"))
     by_index = {_cell(row, "index", int, verdict_path): row for row in verdict_rows}
 
+    # a log with a score column is ranked by it, every cell; one without, by normalised loss
+    column = "score" if verdict_rows and "score" in verdict_rows[0] else "loss"
     predicted, truth, scores = [], [], []
-    missing_score = False
     for row in truth_rows:
         idx = _cell(row, "index", int, truth_path)
         if idx not in by_index:
@@ -406,15 +400,11 @@ def _cmd_eval(args) -> int:
         v = by_index[idx]
         predicted.append(_cell(v, "label", Label.from_name, verdict_path))
         truth.append(_cell(row, "label", Label.from_name, truth_path))
-        if v.get("score"):
-            scores.append(_cell(v, "score", _finite, verdict_path))
-        else:
-            missing_score = True
-            scores.append(_cell(v, "loss", _finite, verdict_path))
+        scores.append(_cell(v, column, _finite, verdict_path))
     if not truth:
         raise ingest.EmptyAfterFilteringError("truth CSV has no rows")
     s = np.asarray(scores, dtype=float)
-    if missing_score:
+    if column == "loss":
         lo, hi = float(np.min(s)), float(np.max(s))
         s = (s - lo) / (hi - lo) if hi > lo else np.zeros_like(s)
     report = metrics_mod.evaluate(predicted, truth, s)
@@ -429,10 +419,9 @@ def _cmd_synth(args) -> int:
     # flags left out are absent from args, so their defaults are SyntheticConfig's
     fields = {f.name for f in dataclasses.fields(SyntheticConfig)}
     config = SyntheticConfig(**{k: v for k, v in vars(args).items() if k in fields})
-    _check_seed(args.seed, "--seed")
     out = _out_path(args.out, "--out")
     schema_out = _out_path(args.schema_out, "--schema-out") if args.schema_out else None
-    records = ingest.synthetic_stream(config, seed=args.seed)
+    records = ingest.synthetic_stream(config)
     feature_names = [f"f{i}" for i in range(config.n_features)]
     _write_csv(out, feature_names + ["label"], (
         [_fmt_float(v) for v in r.features] + [r.truth.display] for r in records
@@ -464,8 +453,6 @@ def _build_parser() -> _Parser:
                      help="overrides the config's engine.mode")
     run.add_argument("--csv", help="feature CSV path (overrides config source)")
     run.add_argument("--schema", dest="schema", help="schema JSON for --csv")
-    run.add_argument("--synthetic", action="store_true",
-                     help="use the synthetic generator from the config")
     run.set_defaults(func=_cmd_run)
 
     fit = sub.add_parser("fit", help="fit loss distributions to a CSV column")
@@ -490,7 +477,7 @@ def _build_parser() -> _Parser:
                        help="anomaly mean shift in standard deviations")
     synth.add_argument("--burst", dest="anomaly_burst", type=int,
                        help="records per anomalous episode")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--drift", dest="drift_magnitude", type=float)
     synth.add_argument("--drift-start", type=float)
     synth.add_argument("--schema-out", default=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -34,9 +35,11 @@ class ForestConfig:
     max_features: str | int = "sqrt"  # "sqrt", "all", or an explicit count
 
     def __post_init__(self) -> None:
-        if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_split < 2:
-            raise ValueError("n_estimators and max_depth must be >= 1, min_samples_split >= 2")
-        is_count = isinstance(self.max_features, int) and self.max_features >= 1
+        counts = (self.n_estimators, self.max_depth, self.min_samples_split)
+        if not (all(map(_is_int, counts)) and min(counts) >= 1 and self.min_samples_split >= 2):
+            raise ValueError(f"n_estimators and max_depth must be integers >= 1, "
+                             f"min_samples_split an integer >= 2, got {counts}")
+        is_count = _is_int(self.max_features) and self.max_features >= 1
         if not is_count and self.max_features not in ("sqrt", "all"):
             raise ValueError(f"max_features must be 'sqrt', 'all' or an int >= 1, "
                              f"got {self.max_features!r}")
@@ -47,6 +50,10 @@ class ForestConfig:
         if self.max_features == "all":
             return n_features
         return min(self.max_features, n_features)
+
+
+def _is_int(value) -> bool:  # a NumPy integer is one, a bool or a float is not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def gini(counts) -> float | np.ndarray:

@@ -248,20 +248,23 @@ class SyntheticConfig:
     anomaly_burst: int = 1
     drift_magnitude: float = 0.0
     drift_start: float = 0.5
+    seed: int = 0
 
     def __post_init__(self) -> None:
         # each test is written to fail on NaN too
         if not (self.n_records >= 1 and self.n_features >= 1 and self.anomaly_burst >= 1):
             raise ValueError("n_records, n_features and anomaly_burst must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.anomaly_rate <= 1.0 and 0.0 <= self.drift_start <= 1.0):
             raise ValueError("anomaly_rate and drift_start must lie in [0, 1]")
         if not (self.normal_std > 0.0 and self.anomaly_std_scale > 0.0):
             raise ValueError("normal_std and anomaly_std_scale must be > 0")
 
 
-def synthetic_stream(config: SyntheticConfig, seed: int) -> list[FeatureRecord]:
-    """Seeded synthetic stream with truth labels attached."""
-    rng = np.random.default_rng(seed)
+def synthetic_stream(config: SyntheticConfig) -> list[FeatureRecord]:
+    """The stream of ``config``, drawn from its ``seed``, with truth labels attached."""
+    rng = np.random.default_rng(config.seed)
     n, d = config.n_records, config.n_features
     burst = config.anomaly_burst
     if burst == 1:

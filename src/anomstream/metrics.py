@@ -31,16 +31,10 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """ROC points sorted by FPR, starting at (0,0) and ending at (1,1).
-
-    ``thresholds`` records the descending unique scores of the sweep; point
-    k (for k >= 1) is the operating point that declares abnormal at
-    score >= thresholds[k - 1]. Tied scores move together.
-    """
+    """ROC points sorted by FPR, from (0, 0) to (1, 1); tied scores move together."""
 
     fpr: np.ndarray
     tpr: np.ndarray
-    thresholds: np.ndarray
 
 
 def _as_label_array(values) -> np.ndarray:
@@ -123,12 +117,7 @@ def roc(scores, truth) -> RocCurve:
     cum_fp = np.cumsum(y_sorted == 0)[last]
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=s_sorted[last])
-
-
-def auc(curve: RocCurve) -> float:
-    """Full trapezoidal area under the ROC curve."""
-    return float(np.trapezoid(curve.tpr, curve.fpr))
+    return RocCurve(fpr=fpr, tpr=tpr)
 
 
 def spauc(curve: RocCurve, fpr_max: float = DEFAULT_FPR_LIMIT) -> float:

@@ -4,7 +4,7 @@ A single-layer LSTM encoder maps a window of feature rows to a Gaussian
 latent; a single-layer LSTM decoder (fed the latent at every step, followed
 by a fully connected output layer) reconstructs the window. The scalar
 anomaly score of a window is the reconstruction sum of squares plus the
-analytic KL term, evaluated with zero latent noise.
+analytic KL term, evaluated with the latent at its mean.
 
 Everything is plain numpy with hand-written reverse-mode gradients through
 the unrolled sequence, so training is deterministic for a fixed seed and
@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -65,12 +66,14 @@ class ScorerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.timestep < 1 or self.n_features < 1:
-            raise ValueError("timestep and n_features must be >= 1")
-        if self.hidden_size < 1 or self.latent_size < 1:
-            raise ValueError("hidden_size and latent_size must be >= 1")
-        if self.batch_size < 1 or min(self.epochs_initial, self.epochs_update, self.seed) < 0:
-            raise ValueError("batch_size must be >= 1; epochs_initial, epochs_update, seed >= 0")
+        ints = (self.timestep, self.n_features, self.hidden_size, self.latent_size,
+                self.batch_size, self.epochs_initial, self.epochs_update, self.seed)
+        # a bool or a float is refused; a NumPy integer is an integer
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in ints):
+            raise ValueError(f"sizes, epochs and seed must be integers, got {ints}")
+        if min(ints[:5]) < 1 or min(ints[5:]) < 0:
+            raise ValueError("timestep, n_features, hidden_size, latent_size, batch_size must be "
+                             ">= 1; epochs_initial, epochs_update, seed >= 0")
         if not (self.learning_rate > 0 and self.adam_eps > 0
                 and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("learning_rate and adam_eps must be > 0, adam betas in [0, 1)")
@@ -131,12 +134,10 @@ class LstmVaeScorer:
             raise ShapeMismatchError(f"window batch shape {x.shape}, expected (N, {t}, {d})")
         return x
 
-    def _batch_of_one(self, window, noise) -> tuple[np.ndarray, np.ndarray]:
-        """One ``window`` as a checked batch and its (1, L) noise; ``noise=None`` means zero."""
+    def _batch_of_one(self, window, noise) -> tuple[np.ndarray, np.ndarray | None]:
+        """One ``window`` as a checked batch and its (1, L) noise; ``noise=None`` stays None."""
         x = self._stack(np.asarray(window, dtype=float)[None])
-        if noise is None:
-            noise = np.zeros(self.config.latent_size)
-        return x, np.asarray(noise, dtype=float)[None]
+        return x, None if noise is None else np.asarray(noise, dtype=float)[None]
 
     # --------------------------------------------------------------- forward
 
@@ -195,20 +196,21 @@ class LstmVaeScorer:
         xhat += p["out_b"]
         return xhat, hs, steps
 
-    def _losses_batch(self, x: np.ndarray, noise: np.ndarray, need_cache: bool = True):
+    def _losses_batch(self, x: np.ndarray, noise: np.ndarray | None, need_cache: bool = True):
         h_enc, enc_steps = self._encode_batch(x, need_cache)
         recon, kl, tail = self._tail(x, h_enc, noise, need_cache)
         return recon, kl, (h_enc, enc_steps, tail)
 
-    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray, need_cache: bool):
+    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, need_cache: bool):
         """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
 
-        Raises ``NonFiniteError`` on a negative KL term or a non-finite loss.
+        ``noise=None`` decodes the latent mean. Raises ``NonFiniteError`` on a
+        negative KL term or a non-finite loss.
         """
         p = self.params
         mu = h_enc @ p["mu_w"].T + p["mu_b"]
         logvar = h_enc @ p["logvar_w"].T + p["logvar_b"]
-        z = reparameterize(mu, logvar, noise)
+        z = mu if noise is None else reparameterize(mu, logvar, noise)
         xhat, h_dec, dec_steps = self._decode_batch(z, x.shape[1], need_cache)
         diff = xhat - x
         recon = np.add.reduce(diff * diff, axis=(1, 2))
@@ -222,23 +224,22 @@ class LstmVaeScorer:
         return recon, kl, (mu, logvar, z, diff, h_dec, dec_steps)
 
     def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
-        """Negative ELBO of one window; ``noise=None`` means zero noise."""
+        """Negative ELBO of one window; ``noise=None`` decodes the latent mean."""
         x, noise = self._batch_of_one(window, noise)
         recon, kl, _ = self._losses_batch(x, noise, need_cache=False)
         return LossValue(total=float(recon[0] + kl[0]), recon=float(recon[0]), kl=float(kl[0]))
 
     def score(self, window) -> float:
-        """Deterministic anomaly score: loss with zero latent noise."""
+        """Deterministic anomaly score: the loss with the latent at its mean."""
         return self.loss(window, noise=None).total
 
     def score_many(self, windows: Sequence) -> np.ndarray:
         """Batched deterministic scores for a sequence of windows."""
         x = self._stack(windows)
         out = np.empty(x.shape[0])
-        zeros = np.zeros((min(_SCORE_CHUNK, x.shape[0]), self.config.latent_size))
         for start in range(0, x.shape[0], _SCORE_CHUNK):
             part = x[start : start + _SCORE_CHUNK]
-            recon, kl, _ = self._losses_batch(part, zeros[: part.shape[0]], need_cache=False)
+            recon, kl, _ = self._losses_batch(part, None, need_cache=False)
             out[start : start + part.shape[0]] = recon + kl
         return out
 
@@ -279,14 +280,14 @@ class LstmVaeScorer:
         with its T - 1 rows, else rebuilt from the window (``_prime``). The new
         row advances every window in flight; the one it completes is scored.
         """
-        x, noise = self._batch_of_one(window, None)
+        x, _ = self._batch_of_one(window, None)
         head = x[0, :-1]
         stream, self._stream = self._stream, None  # invalid until the loss passes _tail's checks
         if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
             stream = self._prime(head, position)
         self._advance(stream, x[0, -1], position)
         h_enc = stream.h[position % self.config.timestep][None]
-        recon, kl, _ = self._tail(x, h_enc, noise, False)
+        recon, kl, _ = self._tail(x, h_enc, None, False)
         stream.rows[...] = x[0, 1:]
         stream.position = position + 1
         self._stream = stream

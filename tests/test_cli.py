@@ -263,7 +263,7 @@ class TestConfig:
         assert set(doc["engine"]) == settable(EngineConfig, "scorer", "forest")
         assert set(doc["scorer"]) == settable(ScorerConfig, "n_features")
         assert set(doc["forest"]) == settable(ForestConfig)
-        assert set(doc["stream"]["synthetic"]) == settable(SyntheticConfig) | {"seed"}
+        assert set(doc["stream"]["synthetic"]) == settable(SyntheticConfig)
         assert doc["scorer"]["seed"] == doc["stream"]["synthetic"]["seed"] == 3
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
@@ -292,7 +292,7 @@ class TestEval:
         from anomstream.ingest import SyntheticConfig, synthetic_stream
 
         synth = SMALL_RUN_CONFIG["stream"]["synthetic"]
-        records = synthetic_stream(SyntheticConfig(**synth), seed=3)
+        records = synthetic_stream(SyntheticConfig(**synth, seed=3))
         n = synth["n_records"]
         test_start = int(round(0.05 * n)) + int(round(0.65 * n))
         truth_path = tmp_path / "truth.csv"
@@ -400,9 +400,11 @@ class TestEval:
              "'x'"),
             ("index,loss,route,label\n0,1.0,classifier,normal\n", "index,label\n0,Tor\n",
              "'Tor'"),
+            ("index,loss,route,label,score\n0,1.0,classifier,normal,0.5\n"
+             "1,9.0,classifier,normal,\n", "index,label\n0,normal\n1,abnormal\n", "'score'"),
         ],
         ids=["no-index-column", "no-loss-column", "float-index", "unknown-label", "text-score",
-             "nan-loss", "text-truth-index", "unknown-truth-label"],
+             "nan-loss", "text-truth-index", "unknown-truth-label", "empty-score"],
     )
     def test_bad_cell_or_header_is_data_error(self, tmp_path, capsys, verdict_log, truth_csv,
                                               named):
@@ -413,6 +415,16 @@ class TestEval:
         assert main(["eval", "--verdicts", str(verdicts), "--truth", str(truth)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and named in err
+
+    def test_log_without_score_column_ranks_by_loss(self, tmp_path, capsys):
+        verdicts = tmp_path / "verdicts.csv"
+        truth = tmp_path / "truth.csv"
+        verdicts.write_text("index,loss,route,label\n0,1.0,classifier,normal\n"
+                            "1,9.0,classifier,normal\n2,2.0,classifier,normal\n")
+        truth.write_text("index,label\n0,normal\n1,abnormal\n2,normal\n")
+        assert main(["eval", "--verdicts", str(verdicts), "--truth", str(truth)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert dict(zip(out[0].split(","), out[1].split(",")))["spauc"] == "100.00"
 
 
 class TestFit:

@@ -424,7 +424,7 @@ class TestRetraining:
         # fine-tune; the retrain restores it and goes on
         records = [
             r.to_stream()
-            for r in synthetic_stream(SyntheticConfig(n_records=80, n_features=3), seed=5)
+            for r in synthetic_stream(SyntheticConfig(n_records=80, n_features=3, seed=5))
         ]
         scorer_cfg = ScorerConfig(
             timestep=4, n_features=3, hidden_size=4, latent_size=2,
@@ -457,7 +457,7 @@ class TestRejectedRecords:
         # real scorer, T=4: a rejected row must not enter the window tail,
         # so the records after it get the verdicts they get without it
         records = synthetic_stream(
-            SyntheticConfig(n_records=90, n_features=3, anomaly_rate=0.1), seed=4
+            SyntheticConfig(n_records=90, n_features=3, anomaly_rate=0.1, seed=4)
         )
 
         def fresh():
@@ -499,7 +499,7 @@ class TestRejectedRecords:
         # restored, the records after it get the verdicts they get without it
         records = [
             r.to_stream()
-            for r in synthetic_stream(SyntheticConfig(n_records=70, n_features=3), seed=6)
+            for r in synthetic_stream(SyntheticConfig(n_records=70, n_features=3, seed=6))
         ]
         scorer_cfg = ScorerConfig(timestep=4, n_features=3, hidden_size=4, latent_size=2, seed=1)
         config = EngineConfig(scorer=scorer_cfg, update_interval=1000, seed=1)
@@ -538,7 +538,7 @@ class TestRejectedRecords:
         # scorer trains, so a retry with good rows bootstraps as if fresh
         records = [
             r.to_stream()
-            for r in synthetic_stream(SyntheticConfig(n_records=30, n_features=2), seed=2)
+            for r in synthetic_stream(SyntheticConfig(n_records=30, n_features=2, seed=2))
         ]
 
         def fresh():
@@ -644,7 +644,7 @@ class TestReprime:
         # window under the current weights
         records = [
             r.to_stream()
-            for r in synthetic_stream(SyntheticConfig(n_records=90, n_features=3), seed=5)
+            for r in synthetic_stream(SyntheticConfig(n_records=90, n_features=3, seed=5))
         ]
         scorer_cfg = ScorerConfig(
             timestep=4, n_features=3, hidden_size=4, latent_size=2,
@@ -676,7 +676,7 @@ class TestReprime:
         # before it, so the scorer's memo must be keyed on its rows too
         records = [
             r.to_stream()
-            for r in synthetic_stream(SyntheticConfig(n_records=120, n_features=3), seed=8)
+            for r in synthetic_stream(SyntheticConfig(n_records=120, n_features=3, seed=8))
         ]
         scorer_cfg = ScorerConfig(timestep=4, n_features=3, hidden_size=4, latent_size=2, seed=2)
         config = EngineConfig(scorer=scorer_cfg, update_interval=1000, seed=1)
@@ -721,9 +721,9 @@ class TestEventsAndDeterminism:
     def test_full_determinism_with_real_scorer(self):
         config = SyntheticConfig(
             n_records=600, n_features=3, anomaly_rate=0.05, anomaly_burst=5,
-            anomaly_shift=3.0,
+            anomaly_shift=3.0, seed=12,
         )
-        records = synthetic_stream(config, seed=12)
+        records = synthetic_stream(config)
 
         def run():
             engine_cfg = EngineConfig(
@@ -807,9 +807,9 @@ class TestUncertainBandFraction:
 
         config = SyntheticConfig(
             n_records=10_100, n_features=4, anomaly_rate=0.012, anomaly_burst=25,
-            anomaly_shift=3.0,
+            anomaly_shift=3.0, seed=6,
         )
-        records = synthetic_stream(config, seed=6)
+        records = synthetic_stream(config)
         engine_cfg = EngineConfig(
             scorer=ScorerConfig(
                 timestep=4, n_features=4, hidden_size=6, latent_size=3,

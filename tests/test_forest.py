@@ -233,11 +233,18 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n_estimators", 0), ("max_depth", 0), ("min_samples_split", 1),
-         ("max_features", 0), ("max_features", "log2"), ("max_features", 2.5)],
+         ("max_features", 0), ("max_features", "log2"), ("max_features", 2.5),
+         ("n_estimators", True), ("max_depth", 2.5), ("min_samples_split", 2.0),
+         ("max_features", True), ("max_features", 3.0)],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
             ForestConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ForestConfig(n_estimators=np.int64(3), max_depth=np.int32(4),
+                              min_samples_split=np.int64(2), max_features=np.int64(2))
+        assert config.features_per_split(5) == 2
 
     @pytest.mark.parametrize("max_features", ["sqrt", "all", 1, 7])
     def test_in_range_accepted(self, max_features):
@@ -604,10 +611,13 @@ class TestCheckpoint:
             (lambda doc: {**doc, "config": {**doc["config"], "bogus": 1}}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "max_depth": 0}}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "n_estimators": "x"}}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "max_features": True}}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "max_depth": 2.5}}, "config"),
         ],
         ids=["list", "string", "no-trees", "no-n_features", "no-seed", "no-config",
              "trees-not-list", "str-seed", "float-seed", "config-not-object",
-             "config-unknown-key", "config-zero-depth", "config-str-count"],
+             "config-unknown-key", "config-zero-depth", "config-str-count",
+             "config-bool-max-features", "config-float-depth"],
     )
     def test_malformed_document_rejected(self, tmp_path, edit, match):
         path = tmp_path / "forest.json"

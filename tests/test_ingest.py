@@ -179,27 +179,27 @@ class TestWindows:
 
 class TestSynthetic:
     def test_zero_rate_all_normal(self):
-        records = synthetic_stream(SyntheticConfig(n_records=500, anomaly_rate=0.0), seed=1)
+        records = synthetic_stream(SyntheticConfig(n_records=500, anomaly_rate=0.0, seed=1))
         assert all(r.truth is Label.NORMAL for r in records)
 
     def test_count_within_binomial_bounds(self):
-        config = SyntheticConfig(n_records=100_000, anomaly_rate=0.015)
-        records = synthetic_stream(config, seed=5)
+        config = SyntheticConfig(n_records=100_000, anomaly_rate=0.015, seed=5)
+        records = synthetic_stream(config)
         count = sum(r.truth is Label.ABNORMAL for r in records)
         sigma = np.sqrt(100_000 * 0.015 * 0.985)
         assert abs(count - 1500) <= 3 * sigma
 
     def test_seed_determinism(self):
-        config = SyntheticConfig(n_records=200, n_features=3, anomaly_rate=0.1)
-        a = synthetic_stream(config, seed=9)
-        b = synthetic_stream(config, seed=9)
+        config = SyntheticConfig(n_records=200, n_features=3, anomaly_rate=0.1, seed=9)
+        a = synthetic_stream(config)
+        b = synthetic_stream(config)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.features, rb.features)
             assert ra.truth == rb.truth
 
     def test_burst_lengths(self):
-        config = SyntheticConfig(n_records=50_000, anomaly_rate=0.02, anomaly_burst=10)
-        records = synthetic_stream(config, seed=2)
+        config = SyntheticConfig(n_records=50_000, anomaly_rate=0.02, anomaly_burst=10, seed=2)
+        records = synthetic_stream(config)
         flags = np.array([r.truth is Label.ABNORMAL for r in records], dtype=int)
         frac = flags.mean()
         assert 0.01 < frac < 0.04
@@ -215,12 +215,22 @@ class TestSynthetic:
     def test_drift_moves_mean(self):
         config = SyntheticConfig(
             n_records=20_000, n_features=2, anomaly_rate=0.0,
-            drift_magnitude=2.0, drift_start=0.5,
+            drift_magnitude=2.0, drift_start=0.5, seed=3,
         )
-        records = synthetic_stream(config, seed=3)
+        records = synthetic_stream(config)
         head = np.mean([r.features for r in records[:5000]], axis=0)
         tail = np.mean([r.features for r in records[-2000:]], axis=0)
         assert np.all(tail - head > 1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_records", 0), ("n_features", 0), ("anomaly_burst", 0), ("anomaly_rate", 1.5),
+         ("anomaly_rate", float("nan")), ("drift_start", -0.5), ("normal_std", 0.0),
+         ("anomaly_std_scale", -1.0), ("seed", -1)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticConfig(**{field: value})
 
 
 class TestSplits:

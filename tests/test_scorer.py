@@ -54,6 +54,17 @@ class TestInit:
         with pytest.raises(ValueError):
             ScorerConfig(**TOY, **{field: value})
 
+    @pytest.mark.parametrize("field", ["timestep", "n_features", "hidden_size", "latent_size",
+                                       "batch_size", "epochs_initial", "epochs_update", "seed"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True], ids=["whole-float", "float", "bool"])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integers"):
+            ScorerConfig(**{**TOY, field: value})
+
+    def test_numpy_integer_field_accepted(self):
+        cfg = ScorerConfig(**{**TOY, "hidden_size": np.int64(8), "epochs_update": np.int32(2)})
+        assert cfg.hidden_size == 8 and cfg.epochs_update == 2
+
     @pytest.mark.parametrize("field, value", [("hidden_size", 10**9), ("n_features", 10**7),
                                               ("latent_size", 10**8)])
     def test_geometry_over_parameter_cap_rejected(self, field, value):
@@ -230,9 +241,12 @@ class TestLoss:
             s.loss(np.zeros((3, 2)))
 
     def test_score_equals_zero_noise_loss(self):
+        # every no-noise path decodes the latent mean: the bits of explicit zero noise
         s = toy_scorer(seed=13)
         w = np.random.default_rng(3).normal(size=(3, 2))
-        assert s.score(w) == s.loss(w, np.zeros(4)).total
+        expected = s.loss(w, np.zeros(4)).total
+        assert s.score(w) == s.loss(w).total == expected
+        assert s.score_many([w])[0] == s.score_stream(w, position=7) == expected
 
     def test_score_many_matches_score(self):
         s = toy_scorer(seed=13)
@@ -512,10 +526,14 @@ class TestCheckpoint:
             ({"config_json": np.array(json.dumps({**TOY, "seed": -1}))}, "config"),
             ({"enc_b": np.array(["x"] * 32)}, "enc_b"),
             ({"out_w": np.zeros((2, 8), dtype=np.float32)}, "out_w"),
+            ({"config_json": np.array(json.dumps({**TOY, "hidden_size": 8.0}))}, "config"),
+            ({"config_json": np.array(json.dumps({**TOY, "hidden_size": True}))}, "config"),
+            ({"config_json": np.array(json.dumps({**TOY, "epochs_update": 2.5}))}, "config"),
         ],
         ids=["no-enc_wx", "no-out_b", "no-config", "no-version", "version-2", "version-str",
              "version-list", "config-unknown-key", "config-bad-value", "config-not-object",
-             "config-not-json", "config-negative-seed", "str-tensor", "float32-tensor"],
+             "config-not-json", "config-negative-seed", "str-tensor", "float32-tensor",
+             "config-float-size", "config-bool-size", "config-float-count"],
     )
     def test_malformed_archive_rejected(self, tmp_path, changes, match):
         good = tmp_path / "scorer.npz"
