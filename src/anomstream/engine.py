@@ -30,7 +30,7 @@ from .errors import (
     NotBootstrappedError,
     ShapeMismatchError,
 )
-from .forest import ForestConfig, RandomForest, fit_forest, predict
+from .forest import ForestConfig, RandomForest, _store_ints, fit_forest, predict
 from .ingest import StreamRecord, windows as make_windows
 from .labels import Label
 from .scorer import LstmVaeScorer, ScorerConfig
@@ -87,6 +87,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
+        _store_ints(self, ("abnormal_warmup", "update_interval", "buffer_capacity", "seed"))
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")

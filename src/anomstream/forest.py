@@ -35,12 +35,13 @@ class ForestConfig:
     max_features: str | int = "sqrt"  # "sqrt", "all", or an explicit count
 
     def __post_init__(self) -> None:
-        counts = (self.n_estimators, self.max_depth, self.min_samples_split)
-        if not (all(map(_is_int, counts)) and min(counts) >= 1 and self.min_samples_split >= 2):
-            raise ValueError(f"n_estimators and max_depth must be integers >= 1, "
-                             f"min_samples_split an integer >= 2, got {counts}")
-        is_count = _is_int(self.max_features) and self.max_features >= 1
-        if not is_count and self.max_features not in ("sqrt", "all"):
+        counts = _store_ints(self, ("n_estimators", "max_depth", "min_samples_split"))
+        if min(counts) < 1 or self.min_samples_split < 2:
+            raise ValueError(f"n_estimators and max_depth must be >= 1, "
+                             f"min_samples_split >= 2, got {counts}")
+        if _is_int(self.max_features) and self.max_features >= 1:
+            self.max_features = int(self.max_features)
+        elif self.max_features not in ("sqrt", "all"):
             raise ValueError(f"max_features must be 'sqrt', 'all' or an int >= 1, "
                              f"got {self.max_features!r}")
 
@@ -54,6 +55,17 @@ class ForestConfig:
 
 def _is_int(value) -> bool:  # a NumPy integer is one, a bool or a float is not
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _store_ints(config, names: tuple[str, ...]) -> tuple[int, ...]:
+    """The ``names`` fields of ``config``, each checked by ``_is_int`` and stored back as an int
+    (JSON writes no NumPy integer); the first that is no integer raises ``ValueError``."""
+    for name in names:
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ValueError(f"{', '.join(names)} must be integers, got {name}={value!r}")
+        setattr(config, name, int(value))
+    return tuple(getattr(config, name) for name in names)
 
 
 def gini(counts) -> float | np.ndarray:

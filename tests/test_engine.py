@@ -108,6 +108,19 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match=name):
             EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
 
+    @pytest.mark.parametrize("name", ["abnormal_warmup", "update_interval", "buffer_capacity",
+                                      "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["float", "whole-float", "bool"])
+    def test_rejects_non_integer_count(self, name, value):
+        with pytest.raises(ValueError, match=f"got {name}="):
+            EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2), **{name: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        config = EngineConfig(scorer=ScorerConfig(timestep=2, n_features=2),
+                              update_interval=np.int64(20), seed=np.int32(3))
+        assert (config.update_interval, config.seed) == (20, 3)
+        assert type(config.update_interval) is int and type(config.seed) is int
+
     @pytest.mark.parametrize("mode", ["bogus", "Adaptive", ""])
     def test_rejects_unknown_mode(self, mode):
         with pytest.raises(ValueError, match="mode"):

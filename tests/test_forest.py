@@ -522,6 +522,20 @@ class TestCheckpoint:
         for i in range(len(y)):
             assert predict(loaded, x[i]) == predict(forest, x[i])
 
+    def test_numpy_integer_config_round_trip(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(80, 3))
+        y = (x[:, 1] > 0.2).astype(int)
+        cfg = ForestConfig(n_estimators=np.int64(4), max_depth=np.int32(5),
+                           min_samples_split=np.int64(3), max_features=np.int64(2))
+        forest = fit_forest(x, y, cfg, seed=9)
+        path = tmp_path / "forest.json"
+        save_forest(forest, path)
+        loaded = load_forest(path)
+        assert loaded.config == forest.config
+        assert all(type(v) is int for v in vars(loaded.config).values())
+        assert_same_table(loaded, forest)
+
     def test_format_v1_bytes_pinned(self, tmp_path):
         # The digest pins checkpoint format version 1 byte for byte: the key
         # order, one object per tree, tree-local child indices and float repr.

@@ -24,7 +24,7 @@ def toy_scorer(seed=0, **overrides):
 def zero_scorer(**overrides):
     s = toy_scorer(**overrides)
     for k in s.params:
-        s.params[k] = np.zeros_like(s.params[k])
+        s.params[k][...] = 0.0
     return s
 
 
@@ -64,6 +64,16 @@ class TestInit:
     def test_numpy_integer_field_accepted(self):
         cfg = ScorerConfig(**{**TOY, "hidden_size": np.int64(8), "epochs_update": np.int32(2)})
         assert cfg.hidden_size == 8 and cfg.epochs_update == 2
+
+    def test_params_are_read_only_views_of_one_vector(self):
+        s = toy_scorer(seed=5)
+        assert all(np.shares_memory(v, s._flat) for v in s.params.values())
+        assert sum(v.size for v in s.params.values()) == s._flat.size
+        assert s._flat.ctypes.data % 64 == 0  # no SIMD load of the vector splits a cache line
+        with pytest.raises(TypeError):
+            s.params["out_b"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            s.params["x"] = np.zeros(2)
 
     @pytest.mark.parametrize("field, value", [("hidden_size", 10**9), ("n_features", 10**7),
                                               ("latent_size", 10**8)])
@@ -137,7 +147,7 @@ class TestForward:
         s = LstmVaeScorer(cfg)
         rng = np.random.default_rng(42)
         for k in s.params:
-            s.params[k] = rng.uniform(-0.3, 0.3, size=s.params[k].shape)
+            s.params[k][...] = rng.uniform(-0.3, 0.3, size=s.params[k].shape)
         x = np.array([[0.5, -0.25]])
 
         def sig(v):
@@ -216,7 +226,7 @@ class TestLoss:
     def test_kl_closed_form_unit_mu(self):
         # mu = (1, 0, ...), logvar = 0 gives KL exactly 0.5
         s = zero_scorer()
-        s.params["mu_b"] = np.array([1.0, 0.0, 0.0, 0.0])
+        s.params["mu_b"][...] = np.array([1.0, 0.0, 0.0, 0.0])
         value = s.loss(np.zeros((3, 2)))
         assert value.kl == pytest.approx(0.5, abs=1e-12)
 
@@ -236,7 +246,7 @@ class TestLoss:
 
     def test_non_finite_raises(self):
         s = toy_scorer()
-        s.params["out_b"] = np.full(2, np.inf)
+        s.params["out_b"][...] = np.full(2, np.inf)
         with pytest.raises(NonFiniteError):
             s.loss(np.zeros((3, 2)))
 
@@ -380,11 +390,14 @@ class TestStreaming:
         for scorer in (s, reference):
             stream_losses(scorer, rows[:30], 0)
         params = {k: v.copy() for k, v in s.params.items()}
+        flat = s._flat.copy()
         rng_state = s.rng.bit_generator.state
         with pytest.raises(NonFiniteError):
             s.train(windows(rows, 3), epochs=3)
         for k, v in params.items():
             assert np.array_equal(s.params[k], v), k
+            assert np.shares_memory(s.params[k], s._flat), k
+        assert s._flat.tobytes() == flat.tobytes()
         assert s.rng.bit_generator.state == rng_state
         for e in range(30, 40):
             window = rows[e - 2 : e + 1]
@@ -496,6 +509,36 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[k], s.params[k])
         w = rng.normal(size=(3, 2))
         assert loaded.score(w) == s.score(w)
+
+    def test_numpy_integer_config_round_trip(self, tmp_path):
+        cfg = ScorerConfig(**{**TOY, "timestep": np.int64(3), "hidden_size": np.int32(8),
+                              "epochs_update": np.int64(2), "seed": np.int64(4)})
+        s = LstmVaeScorer(cfg)
+        path = tmp_path / "scorer.npz"
+        s.save(path)
+        loaded = LstmVaeScorer.load(path)
+        assert loaded.config == s.config
+        assert all(type(v) in (int, float) for v in vars(loaded.config).values())
+        for k in s.params:
+            assert np.array_equal(loaded.params[k], s.params[k])
+
+    def test_train_after_load_moves_the_loaded_views(self, tmp_path):
+        # load copies into the buffer's views, so training the loaded scorer
+        # moves them exactly as it moves the scorer that was saved
+        s = toy_scorer(seed=21)
+        path = tmp_path / "scorer.npz"
+        s.save(path)
+        loaded = LstmVaeScorer.load(path)
+        views = dict(loaded.params)
+        before = {k: v.copy() for k, v in views.items()}
+        rng = np.random.default_rng(0)
+        batch = [rng.normal(size=(3, 2)) for _ in range(6)]
+        s.train(batch, epochs=2)
+        loaded.train(batch, epochs=2)
+        for k, v in views.items():
+            assert loaded.params[k] is v and np.shares_memory(v, loaded._flat), k
+            assert not np.array_equal(v, before[k]), k
+            assert np.array_equal(v, s.params[k]), k
 
     @staticmethod
     def rewrite(source, target, **changes):
