@@ -123,6 +123,7 @@ def _resolve_split(split) -> dict:
 
 
 def _split_records(records, split: dict):
+    """The first-round, train and test selectors of ``records``: three slices or three masks."""
     if split["kind"] == "days":
         return ingest.split_days(records, split["first"], split["test"])
     return ingest.split_fractions(records, split["first"], split["train"], split["test"])
@@ -218,39 +219,32 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _evaluate_slice(verdicts, scores: np.ndarray, test_records) -> dict | None:
-    """Metrics of the test slice: the last ``len(test_records)`` verdicts.
-
-    Every record yields one verdict in stream order, and the test slice is
-    replayed last.
-    """
-    start = len(verdicts) - len(test_records)
-    rows = [
-        (v.label, r.truth, score)
-        for v, r, score in zip(verdicts[start:], test_records, scores[start:])
-        if r.truth is not None
-    ]
-    if not rows:
+def _evaluate_slice(verdicts, scores: np.ndarray, test: ingest.Stream) -> dict | None:
+    """Metrics of the test slice's rows with truth. Its verdicts are the last ``len(test)``:
+    every record yields one verdict in stream order, and the test slice is replayed last."""
+    start = len(verdicts) - len(test)
+    known = test.truth >= 0
+    if not known.any():
         return None
-    predicted, truth, slice_scores = zip(*rows)
-    return metrics_mod.evaluate(list(predicted), list(truth), np.array(slice_scores))
+    predicted = [v.label for v, k in zip(verdicts[start:], known) if k]
+    return metrics_mod.evaluate(predicted, test.truth[known], scores[start:][known])
 
 
 def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     if config.stream["source"] == "csv":
         schema = CsvSchema.from_json(config.stream["csv"]["schema"])
-        records = ingest.load_csv(config.stream["csv"]["path"], schema).records
+        stream = ingest.load_csv(config.stream["csv"]["path"], schema).records
     else:
-        records = ingest.synthetic_stream(config.synthetic)
+        stream = ingest.synthetic_stream(config.synthetic)
 
-    first, train, test = _split_records(records, config.stream["split"])
-    if not first or not (train or test):
+    parts = _split_records(stream, config.stream["split"])
+    sizes = [len(stream.index[part]) for part in parts]
+    if not sizes[0] or not (sizes[1] or sizes[2]):
         raise UsageError("split produced an empty partition")
 
-    normalizer = ingest.fit_normalizer(first)
-    first_n = ingest.normalize_records(first, normalizer)
-    train_n = ingest.normalize_records(train, normalizer)
-    test_n = ingest.normalize_records(test, normalizer)
+    normalizer = ingest.fit_normalizer(stream[parts[0]])
+    stream = ingest.normalize_records(stream, normalizer)  # the raw features are dropped here
+    first, train, test = (stream[part] for part in parts)
 
     scorer_cfg = dataclasses.replace(config.engine.scorer, n_features=normalizer.n_features)
     engine_cfg = dataclasses.replace(config.engine, scorer=scorer_cfg)
@@ -259,19 +253,19 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     scorer = None
     if engine_cfg.mode == "offline":
         scorer = LstmVaeScorer(scorer_cfg)
-        offline_windows = ingest.windows(
-            np.asarray([r.features for r in first_n + train_n]), scorer_cfg.timestep
-        )
+        rows = np.concatenate((first.features, train.features))
+        offline_windows = ingest.windows(rows, scorer_cfg.timestep)
         logger.info("offline pretraining on %d windows", len(offline_windows))
         scorer.train(offline_windows, scorer_cfg.epochs_initial)
 
     detector = engine_mod.OnlineAnomalyDetector(engine_cfg, scorer=scorer, sink=recorder.sink)
-    detector.bootstrap([r.to_stream() for r in first_n])
+    detector.bootstrap([r.to_stream() for r in first])
     recorder.threshold_rows.append((0, "bootstrap", detector.thresholds.t1, detector.thresholds.t2))
 
-    for record in train_n + test_n:
-        detector.process(record.to_stream())
-        detector.maybe_retrain()
+    for part in (train, test):
+        for index, features in zip(part.index.tolist(), part.features):
+            detector.process(ingest.StreamRecord(index=index, features=features))
+            detector.maybe_retrain()
 
     scores = _composite_scores(recorder.verdicts)
     _write_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS, (
@@ -291,7 +285,7 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
         encoding="utf-8",
     )
 
-    report = _evaluate_slice(recorder.verdicts, scores, test_n)
+    report = _evaluate_slice(recorder.verdicts, scores, test)
     if report is not None:
         (out_dir / "metrics.txt").write_text(metrics_mod.report_text(report), encoding="utf-8")
         (out_dir / "metrics.csv").write_text(metrics_mod.report_csv(report), encoding="utf-8")

@@ -29,8 +29,10 @@ from .errors import (
     NonFiniteError,
     NotBootstrappedError,
     ShapeMismatchError,
+    _store_floats,
+    _store_ints,
 )
-from .forest import ForestConfig, RandomForest, _store_ints, fit_forest, predict
+from .forest import ForestConfig, RandomForest, fit_forest, predict
 from .ingest import StreamRecord, windows as make_windows
 from .labels import Label
 from .scorer import LstmVaeScorer, ScorerConfig
@@ -88,7 +90,7 @@ class EngineConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
         _store_ints(self, ("abnormal_warmup", "update_interval", "buffer_capacity", "seed"))
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
+        for name, p in zip(("p1", "p2"), _store_floats(self, ("p1", "p2"))):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.abnormal_warmup < 1 or self.update_interval < 1:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the config field checks, shared across the package."""
+
+import math
+import numbers
 
 
 class AnomstreamError(Exception):
@@ -75,3 +78,34 @@ class EmptyAfterFilteringError(AnomstreamError):
 
 class AllFeaturesConstantError(AnomstreamError):
     """Every feature is constant in the normalization slice."""
+
+
+def _is_int(value) -> bool:  # a NumPy integer is one, a bool or a float is not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _store_ints(config, names: tuple[str, ...]) -> tuple[int, ...]:
+    """The ``names`` fields of ``config``, each checked by ``_is_int`` and stored back as an int
+    (JSON writes no NumPy integer); the first that is no integer raises ``ValueError``."""
+    for name in names:
+        value = getattr(config, name)
+        if not _is_int(value):
+            raise ValueError(f"{', '.join(names)} must be integers, got {name}={value!r}")
+        setattr(config, name, int(value))
+    return tuple(getattr(config, name) for name in names)
+
+
+def _store_floats(config, names: tuple[str, ...]) -> tuple[float, ...]:
+    """The ``names`` fields of ``config``, each checked to be a finite real number and no bool,
+    and stored back as a float (JSON writes no NumPy float); else ``ValueError``."""
+    for name in names:
+        value = getattr(config, name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            finite = real and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        setattr(config, name, float(value))
+    return tuple(getattr(config, name) for name in names)

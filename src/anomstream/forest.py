@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (CorruptCheckpointError, DegenerateTrainingSetError, EmptyNodeError,
-                     ShapeMismatchError)
+                     ShapeMismatchError, _is_int, _store_ints)
 from .labels import Label
 
 _CHECKPOINT_VERSION = 1
@@ -51,21 +50,6 @@ class ForestConfig:
         if self.max_features == "all":
             return n_features
         return min(self.max_features, n_features)
-
-
-def _is_int(value) -> bool:  # a NumPy integer is one, a bool or a float is not
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _store_ints(config, names: tuple[str, ...]) -> tuple[int, ...]:
-    """The ``names`` fields of ``config``, each checked by ``_is_int`` and stored back as an int
-    (JSON writes no NumPy integer); the first that is no integer raises ``ValueError``."""
-    for name in names:
-        value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{', '.join(names)} must be integers, got {name}={value!r}")
-        setattr(config, name, int(value))
-    return tuple(getattr(config, name) for name in names)
 
 
 def gini(counts) -> float | np.ndarray:

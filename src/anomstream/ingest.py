@@ -1,8 +1,8 @@
 """Stream construction: CSV loading, normalization, windows, synthetic data.
 
-Ground-truth labels ride along on ``FeatureRecord`` for evaluation only; the
-engine consumes the truth-free ``StreamRecord`` view, so labels cannot leak
-into detection or training paths.
+A stream is one columnar ``Stream``, whose ``truth`` column is for evaluation
+only: the engine consumes the truth-free ``StreamRecord`` view, so labels
+cannot leak into detection or training paths.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +25,8 @@ from .errors import (
     EmptyAfterFilteringError,
     MissingFileError,
     SchemaMismatchError,
+    _store_floats,
+    _store_ints,
 )
 from .labels import Label
 
@@ -39,7 +43,7 @@ class StreamRecord:
 
 @dataclass(frozen=True, eq=False)
 class FeatureRecord:
-    """One timestamped feature vector with optional held-out ground truth."""
+    """One row of a ``Stream``: a view of its feature vector, with its held-out ground truth."""
 
     index: int
     features: np.ndarray
@@ -48,6 +52,34 @@ class FeatureRecord:
 
     def to_stream(self) -> StreamRecord:
         return StreamRecord(index=self.index, features=self.features)
+
+
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """A feature stream as equal-length columns, in stream order.
+
+    ``truth`` holds each row's ``Label`` value, or -1 where the row has none.
+    An int gives that row as a ``FeatureRecord``; a slice, a boolean mask or
+    an index array gives a ``Stream`` of those rows. Iterating yields the rows.
+    """
+
+    index: np.ndarray  # (N,) int64
+    features: np.ndarray  # (N, D) float64
+    truth: np.ndarray  # (N,) int8
+    timestamps: np.ndarray | None = None  # (N,) object
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def __getitem__(self, key):
+        index, features, truth, stamp = (None if column is None else column[key] for column in
+                                         (self.index, self.features, self.truth, self.timestamps))
+        if not isinstance(key, numbers.Integral):
+            return Stream(index, features, truth, stamp)
+        return FeatureRecord(int(index), features, Label(truth) if truth >= 0 else None, stamp)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @contextmanager
@@ -106,55 +138,55 @@ class CsvSchema:
 
 @dataclass
 class CsvLoadResult:
-    records: list[FeatureRecord]
+    records: Stream
     rejected: int
 
 
 def load_csv(path, schema: CsvSchema) -> CsvLoadResult:
     """Parse a feature CSV in file order, dropping malformed rows.
 
-    A row is rejected (and counted) when any feature cell fails to parse as
-    a finite float or when its label value is absent from the schema's map.
+    A row is rejected (and counted) when a feature cell is missing or not a
+    finite float, or its label value is absent from the schema's map. As in
+    ``csv.DictReader``, blank lines are skipped uncounted, extra cells are
+    ignored, a missing timestamp reads as None and a column named twice is
+    read from its last position.
     """
     path = Path(path)
-    records: list[FeatureRecord] = []
-    rejected = 0
+    flat, truth, stamps, rejected = array("d"), [], [], 0
     with open_text(path) as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        needed = list(schema.feature_columns)
-        if schema.label_column:
-            needed.append(schema.label_column)
-        if schema.timestamp_column:
-            needed.append(schema.timestamp_column)
-        missing = [c for c in needed if c not in header]
+        reader = csv.reader(handle)
+        position = {name: i for i, name in enumerate(next(reader, []))}
+        label, stamp = schema.label_column, schema.timestamp_column
+        needed = [*schema.feature_columns, *filter(None, (label, stamp))]
+        missing = [c for c in needed if c not in position]
         if missing:
             raise SchemaMismatchError(f"columns missing from {path.name}: {missing}")
+        columns = [position[c] for c in schema.feature_columns]
+        label_at, stamp_at = (position[column] if column else None for column in (label, stamp))
         for row in reader:
+            if not row:
+                continue
             try:
-                values = np.array([float(row[c]) for c in schema.feature_columns], dtype=float)
-            except (TypeError, ValueError):
+                values = [float(row[i]) for i in columns]
+                truth.append(schema.label_map[row[label_at]] if label_at is not None else -1)
+            except (IndexError, KeyError, ValueError):
                 rejected += 1
                 continue
-            if not np.all(np.isfinite(values)):
-                rejected += 1
-                continue
-            truth = None
-            if schema.label_column:
-                raw = row[schema.label_column]
-                if raw not in schema.label_map:
-                    rejected += 1
-                    continue
-                truth = schema.label_map[raw]
-            timestamp = row[schema.timestamp_column] if schema.timestamp_column else None
-            records.append(
-                FeatureRecord(index=len(records), features=values, truth=truth, timestamp=timestamp)
-            )
+            flat.extend(values)
+            if stamp_at is not None:
+                stamps.append(row[stamp_at] if stamp_at < len(row) else None)
+    features = np.frombuffer(flat, dtype=float).reshape(len(truth), len(columns))
+    stream = Stream(np.arange(len(truth)), features, np.array(truth, dtype=np.int8),
+                    np.array(stamps, dtype=object) if stamp_at is not None else None)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        rejected += len(stream) - int(finite.sum())
+        stream = replace(stream[finite], index=np.arange(int(finite.sum())))
     if rejected:
         logger.warning("dropped %d malformed rows from %s", rejected, path.name)
-    if not records:
+    if not len(stream):
         raise EmptyAfterFilteringError(f"no usable rows in {path}")
-    return CsvLoadResult(records=records, rejected=rejected)
+    return CsvLoadResult(records=stream, rejected=rejected)
 
 
 @dataclass
@@ -174,18 +206,19 @@ class MinMaxNormalizer:
         return int(self.kept.shape[0])
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=float)[self.kept]
-        return np.clip((x - self.mins) / (self.maxs - self.mins), 0.0, 1.0)
+        """The kept columns of (..., D) ``features`` scaled and clipped, as a new array."""
+        x = np.asarray(features, dtype=float)[..., self.kept]
+        x -= self.mins
+        x /= self.maxs - self.mins
+        return np.clip(x, 0.0, 1.0, out=x)
 
 
-def fit_normalizer(records: Sequence[FeatureRecord]) -> MinMaxNormalizer:
-    if not records:
+def fit_normalizer(stream: Stream) -> MinMaxNormalizer:
+    if not len(stream):
         raise ValueError("cannot fit a normalizer on an empty slice")
-    matrix = np.asarray([r.features for r in records], dtype=float)
-    mins = matrix.min(axis=0)
-    maxs = matrix.max(axis=0)
+    mins, maxs = stream.features.min(axis=0), stream.features.max(axis=0)
     kept = np.nonzero(maxs > mins)[0]
-    dropped = matrix.shape[1] - kept.shape[0]
+    dropped = stream.features.shape[1] - kept.shape[0]
     if kept.size == 0:
         raise AllFeaturesConstantError("every feature is constant in the fitting slice")
     if dropped:
@@ -193,18 +226,8 @@ def fit_normalizer(records: Sequence[FeatureRecord]) -> MinMaxNormalizer:
     return MinMaxNormalizer(mins=mins[kept], maxs=maxs[kept], kept=kept)
 
 
-def normalize_records(
-    records: Sequence[FeatureRecord], normalizer: MinMaxNormalizer
-) -> list[FeatureRecord]:
-    return [
-        FeatureRecord(
-            index=r.index,
-            features=normalizer.apply(r.features),
-            truth=r.truth,
-            timestamp=r.timestamp,
-        )
-        for r in records
-    ]
+def normalize_records(stream: Stream, normalizer: MinMaxNormalizer) -> Stream:
+    return replace(stream, features=normalizer.apply(stream.features))
 
 
 def windows(rows: np.ndarray, timestep: int) -> np.ndarray:
@@ -251,7 +274,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # each test is written to fail on NaN too
+        _store_ints(self, ("n_records", "n_features", "anomaly_burst", "seed"))
+        _store_floats(self, ("anomaly_rate", "normal_mean", "normal_std", "anomaly_shift",
+                             "anomaly_std_scale", "drift_magnitude", "drift_start"))
         if not (self.n_records >= 1 and self.n_features >= 1 and self.anomaly_burst >= 1):
             raise ValueError("n_records, n_features and anomaly_burst must be >= 1")
         if self.seed < 0:
@@ -262,7 +287,7 @@ class SyntheticConfig:
             raise ValueError("normal_std and anomaly_std_scale must be > 0")
 
 
-def synthetic_stream(config: SyntheticConfig) -> list[FeatureRecord]:
+def synthetic_stream(config: SyntheticConfig) -> Stream:
     """The stream of ``config``, drawn from its ``seed``, with truth labels attached."""
     rng = np.random.default_rng(config.seed)
     n, d = config.n_records, config.n_features
@@ -286,23 +311,13 @@ def synthetic_stream(config: SyntheticConfig) -> list[FeatureRecord]:
     direction = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     shift = np.where(is_abnormal, config.anomaly_shift * config.normal_std, 0.0)
     features = mean[:, None] + shift[:, None] * direction + scale[:, None] * noise
-    return [
-        FeatureRecord(
-            index=i,
-            features=features[i],
-            truth=Label.ABNORMAL if is_abnormal[i] else Label.NORMAL,
-        )
-        for i in range(n)
-    ]
+    return Stream(np.arange(n), features, is_abnormal.astype(np.int8))
 
 
 def split_fractions(
-    records: Sequence[FeatureRecord],
-    first: float,
-    train: float,
-    test: float,
-) -> tuple[list[FeatureRecord], list[FeatureRecord], list[FeatureRecord]]:
-    """Contiguous first-round/train/test split in stream order."""
+    records: Sequence, first: float, train: float, test: float
+) -> tuple[slice, slice, slice]:
+    """Contiguous first-round/train/test slices of ``records`` in stream order."""
     if abs(first + train + test - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
     if not all(0.0 <= f <= 1.0 for f in (first, train, test)):
@@ -310,28 +325,19 @@ def split_fractions(
     n = len(records)
     a = int(round(first * n))
     b = a + int(round(train * n))
-    return list(records[:a]), list(records[a:b]), list(records[b:])
-
-
-def _day_of(record: FeatureRecord) -> str:
-    stamp = record.timestamp or ""
-    return stamp.replace("T", " ").split(" ")[0]
+    return slice(0, a), slice(a, b), slice(b, n)
 
 
 def split_days(
-    records: Sequence[FeatureRecord],
-    first_days: Sequence[str],
-    test_days: Sequence[str],
-) -> tuple[list[FeatureRecord], list[FeatureRecord], list[FeatureRecord]]:
-    """Day-based split keyed on the date part of each record's timestamp."""
+    stream: Stream, first_days: Sequence[str], test_days: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-round/train/test masks keyed on the date part of each row's timestamp.
+
+    A row whose day is in neither list, or that has no timestamp, is a train row.
+    """
+    stamps = stream.timestamps if stream.timestamps is not None else [None] * len(stream)
+    days = [(stamp or "").replace("T", " ").split(" ")[0] for stamp in stamps]
     first_set, test_set = set(first_days), set(test_days)
-    first, train, test = [], [], []
-    for r in records:
-        day = _day_of(r)
-        if day in first_set:
-            first.append(r)
-        elif day in test_set:
-            test.append(r)
-        else:
-            train.append(r)
-    return first, train, test
+    first = np.array([day in first_set for day in days], dtype=bool)
+    test = np.array([day in test_set for day in days], dtype=bool) & ~first
+    return first, ~(first | test), test

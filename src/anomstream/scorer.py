@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptCheckpointError, NonFiniteError, ShapeMismatchError
-from .forest import _store_ints
+from .errors import (CorruptCheckpointError, NonFiniteError, ShapeMismatchError, _store_floats,
+                     _store_ints)
 
 _CHECKPOINT_VERSION = 1
 _SCORE_CHUNK = 128  # windows per ``score_many`` forward pass, bounding its intermediates
@@ -72,8 +72,9 @@ class ScorerConfig:
         if min(ints[:5]) < 1 or min(ints[5:]) < 0:
             raise ValueError("timestep, n_features, hidden_size, latent_size, batch_size must be "
                              ">= 1; epochs_initial, epochs_update, seed >= 0")
-        if not (self.learning_rate > 0 and self.adam_eps > 0
-                and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+        lr, beta1, beta2, eps = _store_floats(
+            self, ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"))
+        if not (lr > 0 and eps > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ValueError("learning_rate and adam_eps must be > 0, adam betas in [0, 1)")
         geometry = (self.hidden_size, self.latent_size, self.n_features)
         if sum(math.prod(shape(*geometry)) for shape in _PARAM_SHAPES.values()) > _MAX_PARAMETERS:

@@ -520,6 +520,66 @@ class TestSynth:
         assert (out / "metrics.txt").exists()
 
 
+    def test_csv_round_trip_is_exact(self, tmp_path):
+        out, schema = tmp_path / "stream.csv", tmp_path / "schema.json"
+        assert main(["synth", "--out", str(out), "--n", "700", "--features", "5", "--rate", "0.1",
+                     "--burst", "3", "--drift", "1.5", "--seed", "8",
+                     "--schema-out", str(schema)]) == 0
+        loaded = ingest.load_csv(out, ingest.CsvSchema.from_json(schema))
+        expected = ingest.synthetic_stream(SyntheticConfig(
+            n_records=700, n_features=5, anomaly_rate=0.1, anomaly_burst=3, drift_magnitude=1.5,
+            seed=8))
+        assert loaded.rejected == 0
+        assert loaded.records.features.tobytes() == expected.features.tobytes()
+        assert loaded.records.truth.tobytes() == expected.truth.tobytes()
+        assert loaded.records.index.tolist() == list(range(700))
+
+
+class TestDaysSplit:
+    """A days split end to end: the train days, then the test days, each in stream order."""
+
+    DAYS = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"]
+
+    def test_run_replays_train_then_test_days(self, tmp_path, capsys, monkeypatch):
+        stream = ingest.synthetic_stream(SyntheticConfig(
+            n_records=800, n_features=3, anomaly_rate=0.05, anomaly_burst=5, seed=6))
+        # 50-row blocks cycle through the days, so every split part is interleaved with the others
+        days = [self.DAYS[(i // 50) % 4] for i in range(len(stream))]
+        with (tmp_path / "stream.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["f0", "f1", "f2", "label", "ts"])
+            for i, (r, day) in enumerate(zip(stream, days)):
+                writer.writerow([*map(repr, r.features.tolist()), r.truth.display,
+                                 f"{day}{'T' if i % 2 else ' '}10:{i % 60:02d}"])
+        (tmp_path / "schema.json").write_text(json.dumps({
+            "features": ["f0", "f1", "f2"], "label": "label", "timestamp": "ts",
+            "label_map": {"normal": "normal", "abnormal": "abnormal"}}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "engine": {"update_interval": 150, "abnormal_warmup": 10, "seed": 2},
+            "scorer": {"timestep": 3, "hidden_size": 4, "latent_size": 2,
+                       "epochs_initial": 2, "epochs_update": 1},
+            "forest": {"n_estimators": 4, "max_depth": 4},
+            "stream": {"source": "csv", "csv": {"path": "stream.csv", "schema": "schema.json"},
+                       "split": {"kind": "days", "first": ["2020-01-02"],
+                                 "test": ["2020-01-01", "2020-01-04"]}},
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "config.json", "--out", "run"]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "run" / "verdicts.csv")))
+        train = [i for i, day in enumerate(days) if day == "2020-01-03"]
+        test = [i for i, day in enumerate(days) if day in ("2020-01-01", "2020-01-04")]
+        assert [int(row["index"]) for row in rows] == train + test
+
+        with (tmp_path / "truth.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["index", "label"])
+            writer.writerows([i, stream[i].truth.display] for i in test)
+        capsys.readouterr()
+        assert main(["eval", "--verdicts", "run/verdicts.csv", "--truth", "truth.csv"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "run" / "metrics.csv").read_text()
+
+
 class TestInputFiles:
     """Each input path the CLI opens: a directory or bytes that are not UTF-8 are typed errors."""
 

@@ -121,6 +121,35 @@ class TestEngineConfig:
         assert (config.update_interval, config.seed) == (20, 3)
         assert type(config.update_interval) is int and type(config.seed) is int
 
+    @pytest.mark.parametrize(
+        "cls, fields, name",
+        [
+            (ScorerConfig, {"learning_rate": True}, "learning_rate"),
+            (ScorerConfig, {"adam_eps": float("inf")}, "adam_eps"),
+            (ScorerConfig, {"learning_rate": "0.1"}, "learning_rate"),
+            (EngineConfig, {"p1": "0.5"}, "p1"),
+            (SyntheticConfig, {"anomaly_rate": "0.1"}, "anomaly_rate"),
+            (SyntheticConfig, {"n_records": 2.5}, "n_records"),
+            (SyntheticConfig, {"n_records": True}, "n_records"),
+            (SyntheticConfig, {"anomaly_burst": 2.0}, "anomaly_burst"),
+            (SyntheticConfig, {"seed": 1.5}, "seed"),
+            (SyntheticConfig, {"normal_std": True}, "normal_std"),
+        ],
+        ids=["scorer-lr-bool", "scorer-eps-inf", "scorer-lr-str", "engine-p1-str",
+             "synthetic-rate-str", "synthetic-n-float", "synthetic-n-bool",
+             "synthetic-burst-whole-float", "synthetic-seed-float", "synthetic-std-bool"],
+    )
+    def test_mistyped_config_field_rejected(self, cls, fields, name):
+        scorer = {"timestep": 2, "n_features": 2}
+        given = {ScorerConfig: scorer, EngineConfig: {"scorer": ScorerConfig(**scorer)}}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number|got {name}="):
+            cls(**given.get(cls, {}), **fields)
+
+    def test_whole_number_floats_stored_as_float(self):
+        config = SyntheticConfig(anomaly_rate=0, normal_mean=np.float32(2.5), drift_start=1)
+        assert (config.anomaly_rate, config.normal_mean, config.drift_start) == (0.0, 2.5, 1.0)
+        assert all(type(v) is float for v in (config.anomaly_rate, config.normal_mean))
+
     @pytest.mark.parametrize("mode", ["bogus", "Adaptive", ""])
     def test_rejects_unknown_mode(self, mode):
         with pytest.raises(ValueError, match="mode"):

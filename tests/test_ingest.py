@@ -1,6 +1,7 @@
 """Tests for CSV loading, normalization, windowing and synthetic streams."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from anomstream.errors import (
 from anomstream.ingest import (
     CsvSchema,
     FeatureRecord,
+    Stream,
     SyntheticConfig,
     fit_normalizer,
     load_csv,
@@ -101,6 +103,34 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatchError, match=match):
             CsvSchema.from_json(path)
 
+    @pytest.mark.parametrize(
+        "text, features, rejected",
+        [
+            ("a,b,label\n1,2,Tor\n\n3,4,Non-Tor\n", [[1.0, 2.0], [3.0, 4.0]], 0),
+            ("a,b,label\n1,2,Tor\n3,4\n", [[1.0, 2.0]], 1),
+            ("a,b,label\n1,2,Tor,9\n", [[1.0, 2.0]], 0),
+            ("a,b,label\n1,2,\n3,4,Tor\n", [[3.0, 4.0]], 1),
+            ("a,b,a,label\n1,2,3,Tor\n", [[3.0, 2.0]], 0),
+        ],
+        ids=["blank_line_skipped", "short_row_rejected", "extra_cell_ignored",
+             "empty_label_rejected", "repeated_column_reads_last"],
+    )
+    def test_row_rules(self, tmp_path, caplog, text, features, rejected):
+        with caplog.at_level(logging.WARNING, logger="anomstream"):
+            result = load_csv(write_csv(tmp_path / "x.csv", text), SCHEMA)
+        assert [r.features.tolist() for r in result.records] == features
+        assert [r.index for r in result.records] == list(range(len(features)))
+        assert result.rejected == rejected
+        assert (f"dropped {rejected} malformed rows" in caplog.text) == (rejected > 0)
+
+    def test_missing_timestamp_cell_reads_none(self, tmp_path):
+        schema = CsvSchema(feature_columns=["a"], timestamp_column="ts")
+        p = write_csv(tmp_path / "x.csv", "a,ts\n1,2020-01-01 10:00\n2\n")
+        result = load_csv(p, schema)
+        assert [(r.timestamp, r.truth) for r in result.records] == [
+            ("2020-01-01 10:00", None), (None, None)]
+        assert result.rejected == 0
+
     def test_schema_round_trip(self, tmp_path):
         path = tmp_path / "schema.json"
         SCHEMA.to_json(path)
@@ -108,39 +138,97 @@ class TestLoadCsv:
         assert loaded == SCHEMA
 
 
-def make_records(matrix, truth=None):
+def make_stream(matrix, truth=None, timestamps=None):
+    features = np.asarray(matrix, dtype=float)
+    n = features.shape[0]
+    truth = np.full(n, -1) if truth is None else np.asarray(truth)
+    stamps = None if timestamps is None else np.array(timestamps, dtype=object)
+    return Stream(np.arange(n), features, truth.astype(np.int8), stamps)
+
+
+def as_records(stream):
+    """The per-record list a ``Stream`` replaces, built from its columns independently."""
+    stamps = [None] * len(stream.index) if stream.timestamps is None else stream.timestamps
     return [
-        FeatureRecord(index=i, features=np.asarray(row, dtype=float),
-                      truth=None if truth is None else truth[i])
-        for i, row in enumerate(matrix)
+        FeatureRecord(index=int(i), features=row, truth=None if t < 0 else Label(int(t)),
+                      timestamp=stamp)
+        for i, row, t, stamp in zip(stream.index, stream.features, stream.truth, stamps)
     ]
+
+
+def assert_same_rows(rows, records):
+    rows = list(rows)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert type(row.index) is int and row.index == record.index
+        assert row.features.tobytes() == record.features.tobytes()
+        assert row.truth is record.truth
+        assert row.timestamp == record.timestamp
+
+
+class TestStream:
+    @given(data=st.data(), n=st.integers(0, 12), d=st.integers(1, 3),
+           stamped=st.booleans(), offset=st.integers(0, 10**12))
+    @settings(max_examples=80, deadline=None)
+    def test_indexing_matches_record_list(self, data, n, d, stamped, offset):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        stamps = [f"2020-01-0{1 + i % 4} {i:02d}:00" for i in range(n)] if stamped else None
+        stream = make_stream(rng.normal(size=(n, d)), truth, stamps)
+        stream = Stream(stream.index + offset, stream.features, stream.truth, stream.timestamps)
+        records = as_records(stream)
+        assert len(stream) == n
+        assert_same_rows(stream, records)
+        for i in range(-n, n):
+            assert_same_rows([stream[i]], [records[i]])
+            assert np.shares_memory(stream[i].features, stream.features)
+        start, stop, step = (data.draw(st.integers(-n - 2, n + 2)) for _ in range(3))
+        key = slice(start, stop, step or None)
+        assert_same_rows(stream[key], records[key])
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        assert_same_rows(stream[mask], [r for r, keep in zip(records, mask) if keep])
+        picks = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)),
+                         dtype=np.int64)
+        assert_same_rows(stream[picks], [records[i] for i in picks])
+        assert isinstance(stream[mask], Stream) and isinstance(stream[picks], Stream)
+
+    def test_normalized_rows_equal_the_live_row_path(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(300, 4)) * [1.0, 3.0, 0.0, 1e-3]
+        stream = make_stream(matrix)
+        nz = fit_normalizer(stream[:100])  # later rows fall outside the fitted range and clip
+        normalized = normalize_records(stream, nz)
+        assert normalized.features.shape == (300, 3)
+        for i in range(len(stream)):
+            assert normalized.features[i].tobytes() == nz.apply(stream[i].features).tobytes()
+        assert normalized.truth is stream.truth and normalized.index is stream.index
 
 
 class TestNormalizer:
     def test_midpoint_maps_to_half(self):
-        records = make_records([[0.0, 1.0], [10.0, 3.0]])
+        records = make_stream([[0.0, 1.0], [10.0, 3.0]])
         nz = fit_normalizer(records)
         assert nz.apply(np.array([5.0, 2.0])) == pytest.approx([0.5, 0.5])
 
     def test_out_of_range_clips(self):
-        records = make_records([[0.0], [10.0]])
+        records = make_stream([[0.0], [10.0]])
         nz = fit_normalizer(records)
         assert nz.apply(np.array([-5.0])) == pytest.approx([0.0])
         assert nz.apply(np.array([25.0])) == pytest.approx([1.0])
 
     def test_constant_feature_dropped(self):
-        records = make_records([[1.0, 7.0], [2.0, 7.0]])
+        records = make_stream([[1.0, 7.0], [2.0, 7.0]])
         nz = fit_normalizer(records)
         assert nz.n_features == 1
         assert nz.kept.tolist() == [0]
 
     def test_all_constant_raises(self):
         with pytest.raises(AllFeaturesConstantError):
-            fit_normalizer(make_records([[1.0], [1.0]]))
+            fit_normalizer(make_stream([[1.0], [1.0]]))
 
     def test_refit_on_normalized_is_identity(self):
         rng = np.random.default_rng(3)
-        records = make_records(rng.normal(size=(50, 3)))
+        records = make_stream(rng.normal(size=(50, 3)))
         nz = fit_normalizer(records)
         normalized = normalize_records(records, nz)
         nz2 = fit_normalizer(normalized)
@@ -235,26 +323,25 @@ class TestSynthetic:
 
 class TestSplits:
     def test_fractions(self):
-        records = make_records(np.zeros((1000, 1)))
-        first, train, test = split_fractions(records, 0.01, 0.69, 0.30)
+        records = make_stream(np.zeros((1000, 1)))
+        first, train, test = (records[s] for s in split_fractions(records, 0.01, 0.69, 0.30))
         assert (len(first), len(train), len(test)) == (10, 690, 300)
         assert first[0].index == 0 and test[-1].index == 999
 
     def test_fractions_must_sum(self):
         with pytest.raises(ValueError):
-            split_fractions(make_records(np.zeros((10, 1))), 0.5, 0.1, 0.1)
+            split_fractions(make_stream(np.zeros((10, 1))), 0.5, 0.1, 0.1)
 
     @pytest.mark.parametrize("fractions", [(-0.05, 0.75, 0.30), (1.2, -0.1, -0.1)])
     def test_fractions_must_lie_in_unit_interval(self, fractions):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            split_fractions(make_records(np.zeros((10, 1))), *fractions)
+            split_fractions(make_stream(np.zeros((10, 1))), *fractions)
 
     def test_day_split(self):
-        records = [
-            FeatureRecord(index=i, features=np.zeros(1), timestamp=f"2020-01-0{d} 10:00")
-            for i, d in enumerate([1, 2, 2, 3, 4, 4])
-        ]
-        first, train, test = split_days(records, ["2020-01-02"], ["2020-01-04"])
+        stream = make_stream(
+            np.zeros((6, 1)), timestamps=[f"2020-01-0{d} 10:00" for d in [1, 2, 2, 3, 4, 4]]
+        )
+        first, train, test = (stream[m] for m in split_days(stream, ["2020-01-02"], ["2020-01-04"]))
         assert [r.index for r in first] == [1, 2]
         assert [r.index for r in train] == [0, 3]
         assert [r.index for r in test] == [4, 5]

@@ -522,6 +522,14 @@ class TestCheckpoint:
         for k in s.params:
             assert np.array_equal(loaded.params[k], s.params[k])
 
+    def test_numpy_float_config_round_trip(self, tmp_path):
+        cfg = ScorerConfig(**{**TOY, "learning_rate": np.float32(1e-3), "adam_eps": np.float64(1e-7)})
+        path = tmp_path / "scorer.npz"
+        LstmVaeScorer(cfg).save(path)
+        loaded = LstmVaeScorer.load(path).config
+        assert loaded == cfg and loaded.learning_rate == float(np.float32(1e-3))
+        assert type(loaded.learning_rate) is float and type(cfg.adam_eps) is float
+
     def test_train_after_load_moves_the_loaded_views(self, tmp_path):
         # load copies into the buffer's views, so training the loaded scorer
         # moves them exactly as it moves the scorer that was saved
