@@ -85,13 +85,14 @@ class Stream:
 @contextmanager
 def open_text(path: Path, what: str = "input file"):
     """``path`` open as UTF-8 text; raises ``MissingFileError`` if it is not a file, and
-    ``SchemaMismatchError`` on bytes that are not UTF-8 or JSON that does not parse."""
+    ``SchemaMismatchError`` on bytes that are not UTF-8, JSON that does not parse or CSV that
+    ``csv`` refuses, such as a cell longer than ``csv.field_size_limit()``."""
     if not path.is_file():
         raise MissingFileError(f"{what} not found or not a file: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
         try:
             yield handle
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
             raise SchemaMismatchError(f"cannot read {what} {path.name}: {exc}") from None
 
 

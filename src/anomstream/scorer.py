@@ -20,7 +20,7 @@ import math
 import zipfile
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,23 +150,23 @@ class LstmVaeScorer:
 
     # --------------------------------------------------------------- forward
 
-    def _lstm(self, xw: np.ndarray, t: int, wh: np.ndarray, need_cache: bool):
+    def _lstm(self, xw: np.ndarray, t: int, wh: np.ndarray, cache: _Cache | None = None):
         """One LSTM layer of ``t`` steps over ``xw``, the input projections plus bias.
 
         ``xw`` holds the time-major (T, B, 4H) inputs, or the one (B, 4H) input
         of a layer that reads the same input at every step. Returns the
-        (T, B, H) hidden states and, with ``need_cache``, the per-step gate
-        values that ``_lstm_backward`` consumes.
+        (T, B, H) hidden states; with a ``cache`` for these B rows, every
+        step is kept in it for ``_lstm_backward``.
         """
         b, h_n = xw.shape[-2], self.config.hidden_size
         scale, shift = _gate_affine(b, h_n)
         inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
-        h = np.zeros((b, h_n))
-        c = np.zeros((b, h_n))
-        tc = np.empty((b, h_n))
-        hs = np.empty((t, b, h_n))
         wh_t = wh.T
-        if not need_cache:  # scoring overwrites one gate buffer, c and tanh(c) at every step
+        if cache is None:  # scoring overwrites one gate buffer, c and tanh(c) at every step
+            h = np.zeros((b, h_n))
+            c = np.zeros((b, h_n))
+            tc = np.empty((b, h_n))
+            hs = np.empty((t, b, h_n))
             a = np.empty((b, 4 * h_n))
             gates = _gate_views(a)
             for xw_t, h_out in zip(inputs, hs):
@@ -174,40 +174,42 @@ class LstmVaeScorer:
                 a += xw_t
                 _cell(a, gates, c, c, tc, h_out, scale, shift)
                 h = h_out
-            return hs, None
-        steps = []  # a cached step keeps its own gates, c and tanh(c)
-        for xw_t, h_out in zip(inputs, hs):
-            a = np.matmul(h, wh_t)
+            return hs
+        # training keeps every step's gates, gate-major, and its c and tanh(c) in the cache
+        a, a_gm = cache.a, cache.a.reshape(b, 4, h_n).transpose(1, 0, 2)
+        h = cache.c[0]  # zero, as h0 is
+        for xw_t, g, c_prev, c, tc, h_out in zip(inputs, cache.gates, cache.c, cache.c[1:],
+                                                  cache.tc, cache.h):
+            np.matmul(h, wh_t, out=a)
             a += xw_t
-            gates = _gate_views(a)
-            c_next, tc = np.empty((b, h_n)), np.empty((b, h_n))
-            _cell(a, gates, c, c_next, tc, h_out, scale, shift)
-            steps.append((*gates, c, h, tc))
-            c, h = c_next, h_out
-        return hs, steps
+            _cell(a, g, c_prev, c, tc, h_out, scale, shift, a_gm)
+            h = h_out
+        return cache.h
 
-    def _losses_batch(self, x: np.ndarray, noise: np.ndarray | None, need_cache: bool = True):
+    def _losses_batch(self, x: np.ndarray, noise: np.ndarray | None, ws: _Workspace | None = None):
+        """Losses of the windows ``x``; a workspace ``ws`` sized for them keeps the forward."""
         p = self.params
         b, t, d = x.shape
         # the input projections of every step in one GEMM
         x_wx = (x.reshape(b * t, d) @ p["enc_wx"].T).reshape(b, t, -1)
         x_wx += p["enc_b"]
-        hs, enc_steps = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], need_cache)
-        recon, kl, tail = self._tail(x, hs[-1], noise, need_cache)
-        return recon, kl, (hs[-1], enc_steps, tail)
+        hs = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], ws and ws.enc)
+        recon, kl, tail = self._tail(x, hs[-1], noise, ws and ws.dec)
+        return recon, kl, (hs[-1], tail)
 
-    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, need_cache: bool):
+    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, cache):
         """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
 
-        ``noise=None`` decodes the latent mean. Raises ``NonFiniteError`` on a
-        negative KL term or a non-finite loss.
+        ``noise=None`` decodes the latent mean; ``cache`` is the decoder's
+        (``_lstm``). Raises ``NonFiniteError`` on a negative KL term or a
+        non-finite loss.
         """
         p = self.params
         mu = h_enc @ p["mu_w"].T + p["mu_b"]
         logvar = h_enc @ p["logvar_w"].T + p["logvar_b"]
         z = mu if noise is None else reparameterize(mu, logvar, noise)
         z_wx = z @ p["dec_wx"].T + p["dec_b"]  # the decoder's input at every step
-        h_dec, dec_steps = self._lstm(z_wx, x.shape[1], p["dec_wh"], need_cache)
+        h_dec = self._lstm(z_wx, x.shape[1], p["dec_wh"], cache)
         # batch-major rows, so the output projection is one GEMM into (B, T, D)
         h_rows = h_dec.transpose(1, 0, 2).reshape(-1, h_dec.shape[2])
         xhat = (h_rows @ p["out_w"].T).reshape(x.shape)
@@ -221,12 +223,12 @@ class LstmVaeScorer:
         kl = np.maximum(kl, 0.0)
         if not np.logical_and.reduce(np.isfinite(recon + kl)):
             raise NonFiniteError("non-finite loss; the scorer has diverged")
-        return recon, kl, (mu, logvar, z, diff, h_dec, dec_steps)
+        return recon, kl, (mu, logvar, z, diff, h_dec)
 
     def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
         """Negative ELBO of one window; ``noise=None`` decodes the latent mean."""
         x, noise = self._batch_of_one(window, noise)
-        recon, kl, _ = self._losses_batch(x, noise, need_cache=False)
+        recon, kl, _ = self._losses_batch(x, noise)
         return LossValue(total=float(recon[0] + kl[0]), recon=float(recon[0]), kl=float(kl[0]))
 
     def score(self, window) -> float:
@@ -239,7 +241,7 @@ class LstmVaeScorer:
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], _SCORE_CHUNK):
             part = x[start : start + _SCORE_CHUNK]
-            recon, kl, _ = self._losses_batch(part, None, need_cache=False)
+            recon, kl, _ = self._losses_batch(part, None)
             out[start : start + part.shape[0]] = recon + kl
         return out
 
@@ -287,7 +289,7 @@ class LstmVaeScorer:
             stream = self._prime(head, position)
         self._advance(stream, x[0, -1], position)
         h_enc = stream.h[position % self.config.timestep][None]
-        recon, kl, _ = self._tail(x, h_enc, None, False)
+        recon, kl, _ = self._tail(x, h_enc, None, None)
         stream.rows[...] = x[0, 1:]
         stream.position = position + 1
         self._stream = stream
@@ -295,60 +297,74 @@ class LstmVaeScorer:
 
     # -------------------------------------------------------------- backward
 
-    def _lstm_backward(self, grads, layer: str, x: np.ndarray, steps,
+    def _lstm_backward(self, ws: _Workspace, layer: str, x: np.ndarray,
                        dh_steps: np.ndarray | None, dh_last: np.ndarray):
-        """Backpropagate through one LSTM layer run by ``_lstm``.
+        """Backpropagate through one LSTM layer run by ``_lstm`` with its cache in ``ws``.
 
         ``x`` holds the layer's time-major (T, B, In) inputs, or its one
         (B, In) input when the layer reads the same input at every step.
         ``dh_steps`` is the (T, B, H) upstream gradient on each step's hidden
         state (None when only the last state feeds on) and ``dh_last`` the
         gradient on the final hidden state. The ``layer``'s weight gradients
-        are added into ``grads``. For a (B, In) input the pre-activation
+        are added into ``ws.grads``. For a (B, In) input the pre-activation
         gradients are summed over the steps first, so its input weights, bias
         and input take one product each after the loop, and the input
-        gradient is returned.
+        gradient is returned. The temporaries are ``ws``'s, written with
+        ``out=``; each element takes the commented expressions' operations.
         """
-        p = self.params
+        p, cache = self.params, getattr(ws, layer)
         wx, wh = p[f"{layer}_wx"], p[f"{layer}_wh"]
-        g_wx, g_wh, g_b = grads[f"{layer}_wx"], grads[f"{layer}_wh"], grads[f"{layer}_b"]
+        g_wx, g_wh, g_b = (ws.grads[f"{layer}_{k}"] for k in ("wx", "wh", "b"))
         per_step = x.ndim == 3
-        da_sum = None if per_step else np.zeros((x.shape[0], wx.shape[0]))
+        dh_buf, do, dc, dc_rec, dh_rec_buf, t1 = ws.bh
+        (pre, one_minus), (da, da_sum) = ws.gm, ws.da
+        da_gm = da.reshape(da.shape[0], 4, -1).transpose(1, 0, 2)
+        da_sum.fill(0.0)
+        dc_rec.fill(0.0)
         dh_rec = dh_last
-        dc_rec = np.zeros_like(dh_last)
-        for step in range(len(steps) - 1, -1, -1):
-            gi, gf, gg, go, c_prev, h_prev, tc = steps[step]
-            dh = dh_rec if dh_steps is None else dh_steps[step] + dh_rec
-            do = dh * tc
-            dc = dc_rec + dh * go * (1.0 - tc * tc)
-            da = np.concatenate(
-                [
-                    dc * gg * gi * (1.0 - gi),
-                    dc * c_prev * gf * (1.0 - gf),
-                    dc * gi * (1.0 - gg * gg),
-                    do * go * (1.0 - go),
-                ],
-                axis=1,
-            )
+        for step in range(len(cache.tc) - 1, -1, -1):
+            gi, gf, gg, go = gates = cache.gates[step]
+            tc = cache.tc[step]
+            dh = dh_rec if dh_steps is None else np.add(dh_steps[step], dh_rec, out=dh_buf)
+            np.multiply(dh, tc, out=do)  # do = dh * tc
+            np.multiply(tc, tc, out=t1)  # dc = dc_rec + dh * go * (1 - tc * tc)
+            np.subtract(1.0, t1, out=t1)
+            np.multiply(dh, go, out=dc)
+            dc *= t1
+            dc += dc_rec
+            # da = [dc * gg * gi * (1 - gi), dc * c_prev * gf * (1 - gf),
+            #       dc * gi * (1 - gg * gg), do * go * (1 - go)], written gate-major into (B, 4H)
+            np.subtract(1.0, gates, out=one_minus)
+            np.multiply(gg, gg, out=one_minus[2])
+            np.subtract(1.0, one_minus[2], out=one_minus[2])
+            np.multiply(dc, gg, out=pre[0])
+            pre[0] *= gi
+            np.multiply(dc, cache.c[step], out=pre[1])
+            pre[1] *= gf
+            np.multiply(dc, gi, out=pre[2])
+            np.multiply(do, go, out=pre[3])
+            pre *= one_minus
+            np.copyto(da_gm, pre)
             if per_step:
                 g_wx += da.T @ x[step]
                 g_b += da.sum(axis=0)
             else:
                 da_sum += da
-            g_wh += da.T @ h_prev
-            dh_rec = da @ wh
-            dc_rec = dc * gf
+            h_prev = cache.h[step - 1] if step else cache.c[0]  # c[0] is zero, as h0 is
+            g_wh += np.matmul(da.T, h_prev, out=ws.twh)
+            dh_rec = np.matmul(da, wh, out=dh_rec_buf)
+            np.multiply(dc, gf, out=dc_rec)
         if per_step:
             return None
         g_wx += da_sum.T @ x
         g_b += da_sum.sum(axis=0)
         return da_sum @ wx
 
-    def _grads_batch(self, x: np.ndarray, cache, weight: float):
-        """Gradients of weight * sum_b total_b for the cached forward pass, as ``_vector``."""
-        h_enc, enc_steps, (mu, logvar, z, diff, h_dec, dec_steps) = cache
-        p = self.params
-        flat, grads = self._vector()
+    def _grads_batch(self, x: np.ndarray, cache, weight: float, ws: _Workspace):
+        """Gradients of weight * sum_b total_b into ``ws.flat``, from the forward kept in ``ws``."""
+        h_enc, (mu, logvar, z, diff, h_dec) = cache
+        p, grads = self.params, ws.grads
+        ws.flat.fill(0.0)
 
         dxhat = (2.0 * weight) * diff  # (B,T,D)
         # T per-step products summed in step order: the same bits at any BLAS thread count
@@ -357,7 +373,7 @@ class LstmVaeScorer:
         dh_ext = (dxhat.reshape(-1, dxhat.shape[2]) @ p["out_w"]).reshape(*dxhat.shape[:2], -1)
         # the decoder reads z at every step
         no_dh = np.zeros((x.shape[0], self.config.hidden_size))
-        dz = self._lstm_backward(grads, "dec", z, dec_steps, dh_ext.transpose(1, 0, 2), no_dh)
+        dz = self._lstm_backward(ws, "dec", z, dh_ext.transpose(1, 0, 2), no_dh)
 
         # KL gradients plus the reparameterization path from dz.
         std = np.exp(0.5 * logvar)
@@ -371,15 +387,17 @@ class LstmVaeScorer:
         dlogvar.sum(axis=0, out=grads["logvar_b"])
 
         dh_enc = dmu @ p["mu_w"] + dlogvar @ p["logvar_w"]
-        self._lstm_backward(grads, "enc", x.transpose(1, 0, 2), enc_steps, None, dh_enc)
-        return flat, grads
+        self._lstm_backward(ws, "enc", x.transpose(1, 0, 2), None, dh_enc)
+        return ws.flat
 
     def loss_and_gradients(self, window, noise: np.ndarray | None = None):
         """Loss of one window plus analytic gradients for every tensor."""
         x, noise = self._batch_of_one(window, noise)
-        recon, kl, cache = self._losses_batch(x, noise)
+        ws = _Workspace.allocate(self, 1)
+        recon, kl, cache = self._losses_batch(x, noise, ws)
         value = LossValue(float(recon[0] + kl[0]), float(recon[0]), float(kl[0]))
-        return value, self._grads_batch(x, cache, weight=1.0)[1]
+        self._grads_batch(x, cache, 1.0, ws)
+        return value, ws.grads
 
     # -------------------------------------------------------------- training
 
@@ -402,6 +420,7 @@ class LstmVaeScorer:
         # stale from here on, so only the rows and position are held through the fine-tune
         stream, self._stream = self._stream and (self._stream.rows, self._stream.position), None
         m, v, scratch = (self._vector()[0] for _ in range(3))
+        ws = _Workspace.allocate(self, batch)  # freed on return
         step = 0
         try:
             for _ in range(epochs):
@@ -409,9 +428,9 @@ class LstmVaeScorer:
                 for start in range(0, n, batch):
                     xb = x[order[start : start + batch]]
                     noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
-                    _, _, cache = self._losses_batch(xb, noise)
-                    g, _ = self._grads_batch(xb, cache, weight=1.0 / xb.shape[0])
-                    del cache  # before the next forward: one minibatch's BPTT cache at a time
+                    rows = ws.rows(xb.shape[0])
+                    _, _, cache = self._losses_batch(xb, noise, rows)
+                    g = self._grads_batch(xb, cache, 1.0 / xb.shape[0], rows)
                     step += 1
                     # Adam in place; each element takes the operations of b1 * m + (1 - b1) * g,
                     # b2 * v + (1 - b2) * g * g and lr * (m / bc1) / (sqrt(v / bc2) + eps) in order
@@ -496,12 +515,13 @@ def _gate_views(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
 
 
-def _cell(a, gates, c_prev, c, tc, h, scale, shift):
+def _cell(a, gates, c_prev, c, tc, h, scale, shift, a_gm=None):
     """One LSTM step over B rows, in place, from the (B, 4H) pre-activation ``a``.
 
     ``a`` becomes the gates, which ``gates`` views (``_gate_views``); the new
     cell state is written to ``c`` (which may be ``c_prev``), its tanh to
-    ``tc`` and the hidden state to ``h``.
+    ``tc`` and the hidden state to ``h``. With ``a_gm``, ``a``'s (4, B, H)
+    gate-major view, the gates are copied into the (4, B, H) block ``gates``.
 
     All four gates come from one ``tanh`` over ``a``, by sigmoid(x) =
     tanh(x / 2) / 2 + 1 / 2: the i, f and o slices are halved before the
@@ -514,11 +534,61 @@ def _cell(a, gates, c_prev, c, tc, h, scale, shift):
     np.tanh(a, out=a)
     a *= scale
     a += shift
+    if a_gm is not None:
+        np.copyto(gates, a_gm)
     np.multiply(gf, c_prev, out=c)
     np.multiply(gi, gg, out=tc)  # i * g, before tc takes tanh(c)
     c += tc
     np.tanh(c, out=tc)
     np.multiply(go, tc, out=h)
+
+
+class _Cache(NamedTuple):
+    """One LSTM layer's BPTT cache in ``train``'s workspace, for B windows of T steps."""
+
+    gates: np.ndarray  # (T, 4, B, H) activated gates, gate-major: each one (B, H) block
+    c: np.ndarray  # (T + 1, B, H) cell states, c[0] = 0
+    tc: np.ndarray  # (T, B, H) tanh of the cell states
+    h: np.ndarray  # (T, B, H) hidden states
+    a: np.ndarray  # (B, 4H) pre-activation buffer
+
+
+class _Workspace(NamedTuple):
+    """``train``'s BPTT workspace for minibatches of up to B windows, allocated once per call.
+
+    Every array starts on a 64-byte boundary, as ``_vector``'s do. Held for the call, the cache
+    is not returned to the OS and faulted in again for each minibatch, as one allocated per step
+    was; gate-major, each elementwise operation on a gate runs as one inner loop, not B strided.
+    """
+
+    enc: _Cache
+    dec: _Cache
+    bh: np.ndarray  # (6, B, H): the backward's dh, do, dc, dc_rec, dh_rec and 1 - tanh(c)^2
+    gm: np.ndarray  # (2, 4, B, H): da's leading factors and its (1 - gate) factors
+    da: np.ndarray  # (2, B, 4H): da, and the decoder's sum of it over the steps
+    twh: np.ndarray  # (4H, H): one step's recurrent weight-gradient product
+    flat: np.ndarray  # the gradient vector, laid out like ``_flat``
+    grads: dict[str, np.ndarray]  # its named tensor views
+
+    @classmethod
+    def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Workspace":
+        t, h_n = scorer.config.timestep, scorer.config.hidden_size
+        layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
+        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n)]
+        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # whole 64-byte lines
+        raw = np.empty(sum(sizes) + 8)
+        flat = raw[(-raw.ctypes.data % 64) // 8 :]
+        starts = itertools.accumulate(sizes, initial=0)
+        arrays = [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
+        enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
+        enc.c[0] = dec.c[0] = 0.0
+        return cls(enc, dec, *arrays[10:], *scorer._vector())
+
+    def rows(self, b: int) -> "_Workspace":
+        """The workspace of a minibatch of ``b`` windows: views of the leading b rows."""
+        enc, dec = (_Cache(*(v[..., :b, :] for v in c)) for c in (self.enc, self.dec))
+        return self._replace(enc=enc, dec=dec, bh=self.bh[..., :b, :], gm=self.gm[..., :b, :],
+                             da=self.da[..., :b, :])
 
 
 class _Stream:

@@ -625,6 +625,16 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "bad.txt" in err
 
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c not in ("run-config",
+                                                                          "run-schema")])
+    def test_oversized_csv_cell_is_a_data_error(self, inputs, capsys, command):
+        # a cell past csv.field_size_limit() makes the reader raise csv.Error
+        cell = "1" * (csv.field_size_limit() + 10)
+        (inputs / "big.csv").write_text(f"index,loss,label,f0\n0,{cell},normal,1.0\n")
+        assert self._main(inputs, command, "big.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "big.csv" in err and "field" in err
+
     @pytest.mark.parametrize("content", ["{not json", ""], ids=["broken", "empty"])
     def test_schema_that_is_not_json_is_a_data_error(self, inputs, capsys, content):
         (inputs / "bad.json").write_text(content)

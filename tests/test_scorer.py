@@ -1,5 +1,6 @@
 """Tests for the LSTM-VAE scorer: forward math, gradients, training."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from anomstream.errors import CorruptCheckpointError, NonFiniteError, ShapeMismatchError
 from anomstream.ingest import windows
-from anomstream.scorer import LstmVaeScorer, ScorerConfig, reparameterize
+from anomstream.scorer import (LstmVaeScorer, ScorerConfig, _cell, _gate_affine, _gate_views,
+                               _Workspace, reparameterize)
 
 TOY = dict(timestep=3, n_features=2, hidden_size=8, latent_size=4)
 
@@ -172,13 +174,15 @@ class TestForward:
         assert value.kl == pytest.approx(kl_expected, abs=1e-12)
 
 
-    @given(st.integers(1, 6), st.sampled_from([1, 2, 7]), st.integers(1, 9),
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 7]), st.integers(0, 3), st.integers(1, 9),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_lstm_branches_and_input_forms_agree_bitwise(self, t, b, h, seed):
-        # the cached (training) and no-cache (scoring) loops run the same ops,
-        # and a constant (B, 4H) input is read as its (T, B, 4H) broadcast would be
-        s = toy_scorer(hidden_size=h)
+    def test_lstm_branches_and_input_forms_agree_bitwise(self, t, b, spare, h, seed):
+        # the cached (training) and no-cache (scoring) loops run the same ops, the
+        # cached one also on the leading rows of a larger workspace, and a constant
+        # (B, 4H) input is read as its (T, B, 4H) broadcast would be
+        s = toy_scorer(timestep=t, hidden_size=h)
+        cache = _Workspace.allocate(s, b + spare).rows(b).enc
         rng = np.random.default_rng(seed)
         wh = rng.normal(size=(4 * h, h))
         per_step, constant = rng.normal(size=(t, b, 4 * h)), rng.normal(size=(b, 4 * h))
@@ -186,9 +190,9 @@ class TestForward:
                   "broadcast": np.broadcast_to(constant, (t, b, 4 * h))}
         hidden = {}
         for name, xw in inputs.items():
-            cached, steps = s._lstm(xw, t, wh, need_cache=True)
-            hidden[name], no_steps = s._lstm(xw, t, wh, need_cache=False)
-            assert len(steps) == t and no_steps is None
+            cached = s._lstm(xw, t, wh, cache)
+            hidden[name] = s._lstm(xw, t, wh)
+            assert cached.shape == (t, b, h) and np.shares_memory(cached, cache.h)
             assert cached.tobytes() == hidden[name].tobytes(), name
         assert hidden["constant"].tobytes() == hidden["broadcast"].tobytes()
 
@@ -402,6 +406,121 @@ class TestStreaming:
         for e in range(30, 40):
             window = rows[e - 2 : e + 1]
             assert s.score_stream(window, e) == reference.score_stream(window, e)
+
+
+class PerStepBptt(LstmVaeScorer):
+    """The training forward and backward before the workspace, as a reference.
+
+    Each cached step keeps its own (B, 4H) gate buffer, c and tanh(c), and
+    the backward allocates every temporary; the gradients go into the
+    workspace's vector all the same, so only the BPTT loops differ.
+    """
+
+    def _lstm(self, xw, t, wh, cache=None):
+        if cache is None:
+            return super()._lstm(xw, t, wh)
+        b, h_n = xw.shape[-2], self.config.hidden_size
+        scale, shift = _gate_affine(b, h_n)
+        inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
+        h = np.zeros((b, h_n))
+        c = np.zeros((b, h_n))
+        hs = np.empty((t, b, h_n))
+        steps = []
+        for xw_t, h_out in zip(inputs, hs):
+            a = np.matmul(h, wh.T)
+            a += xw_t
+            gates = _gate_views(a)
+            c_next, tc = np.empty((b, h_n)), np.empty((b, h_n))
+            _cell(a, gates, c, c_next, tc, h_out, scale, shift)
+            steps.append((*gates, c, h, tc))
+            c, h = c_next, h_out
+        self.steps = {**getattr(self, "steps", {}),
+                      "enc" if wh is self.params["enc_wh"] else "dec": steps}
+        return hs
+
+    def _lstm_backward(self, ws, layer, x, dh_steps, dh_last):
+        steps = self.steps.pop(layer)
+        p, grads = self.params, ws.grads
+        wx, wh = p[f"{layer}_wx"], p[f"{layer}_wh"]
+        g_wx, g_wh, g_b = grads[f"{layer}_wx"], grads[f"{layer}_wh"], grads[f"{layer}_b"]
+        per_step = x.ndim == 3
+        da_sum = None if per_step else np.zeros((x.shape[0], wx.shape[0]))
+        dh_rec = dh_last
+        dc_rec = np.zeros_like(dh_last)
+        for step in range(len(steps) - 1, -1, -1):
+            gi, gf, gg, go, c_prev, h_prev, tc = steps[step]
+            dh = dh_rec if dh_steps is None else dh_steps[step] + dh_rec
+            do = dh * tc
+            dc = dc_rec + dh * go * (1.0 - tc * tc)
+            da = np.concatenate(
+                [
+                    dc * gg * gi * (1.0 - gi),
+                    dc * c_prev * gf * (1.0 - gf),
+                    dc * gi * (1.0 - gg * gg),
+                    do * go * (1.0 - go),
+                ],
+                axis=1,
+            )
+            if per_step:
+                g_wx += da.T @ x[step]
+                g_b += da.sum(axis=0)
+            else:
+                da_sum += da
+            g_wh += da.T @ h_prev
+            dh_rec = da @ wh
+            dc_rec = dc * gf
+        if per_step:
+            return None
+        g_wx += da_sum.T @ x
+        g_b += da_sum.sum(axis=0)
+        return da_sum @ wx
+
+
+class TestWorkspace:
+    @given(
+        st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.integers(1, 5),
+        st.integers(0, 3), st.integers(1, 12), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_step_reference_bitwise(self, t, h, d, b, spare, n, seed):
+        # a minibatch of b on the leading rows of a workspace for b + spare windows,
+        # one window's loss_and_gradients, and one train call of n windows in
+        # minibatches of b (a remainder runs on views), against the reference
+        cfg = ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=2,
+                           batch_size=b, seed=seed)
+        s, ref = LstmVaeScorer(cfg), PerStepBptt(cfg)
+        rng = np.random.default_rng(seed)
+        x, noise = rng.normal(size=(n + b, t, d)), rng.standard_normal((b, 2))
+        grads = []
+        for scorer, ws in ((s, _Workspace.allocate(s, b + spare).rows(b)),
+                           (ref, _Workspace.allocate(ref, b))):
+            _, _, cache = scorer._losses_batch(x[:b], noise, ws)
+            grads.append(scorer._grads_batch(x[:b], cache, 1.0 / b, ws).tobytes())
+        assert grads[0] == grads[1]
+        (value, got), (ref_value, want) = (m.loss_and_gradients(x[0], noise[0]) for m in (s, ref))
+        assert value == ref_value
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        for scorer in (s, ref):
+            scorer.train(x[b:], epochs=1)
+        assert s._flat.tobytes() == ref._flat.tobytes()
+        assert s.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_train_frees_its_workspace(self):
+        # the workspace lives for one train call; a scorer that kept it would hold
+        # about 540 KB here after its first call
+        cfg = ScorerConfig(timestep=10, n_features=4, hidden_size=16, latent_size=4,
+                           batch_size=32, seed=5)
+        x = np.random.default_rng(6).uniform(size=(40, 10, 4))
+        LstmVaeScorer(cfg).train(x, epochs=1)  # fills the module's memos first
+        s = LstmVaeScorer(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s.train(x, epochs=1)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 64 * 1024
 
 
 class TestGradients:
