@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import mmap
 import zipfile
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -154,9 +155,8 @@ class LstmVaeScorer:
         """One LSTM layer of ``t`` steps over ``xw``, the input projections plus bias.
 
         ``xw`` holds the time-major (T, B, 4H) inputs, or the one (B, 4H) input
-        of a layer that reads the same input at every step. Returns the
-        (T, B, H) hidden states; with a ``cache`` for these B rows, every
-        step is kept in it for ``_lstm_backward``.
+        of a layer that reads the same input at every step. Returns the (T, B, H) hidden
+        states; with a ``cache`` for these B rows, every step is kept in it for ``_lstm_backward``.
         """
         b, h_n = xw.shape[-2], self.config.hidden_size
         scale, shift = _gate_affine(b, h_n)
@@ -191,7 +191,8 @@ class LstmVaeScorer:
         p = self.params
         b, t, d = x.shape
         # the input projections of every step in one GEMM
-        x_wx = (x.reshape(b * t, d) @ p["enc_wx"].T).reshape(b, t, -1)
+        x_wx = np.matmul(x.reshape(b * t, d), p["enc_wx"].T,
+                         out=None if ws is None else ws.xw.reshape(b * t, -1)).reshape(b, t, -1)
         x_wx += p["enc_b"]
         hs = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], ws and ws.enc)
         recon, kl, tail = self._tail(x, hs[-1], noise, ws and ws.dec)
@@ -200,9 +201,8 @@ class LstmVaeScorer:
     def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, cache):
         """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
 
-        ``noise=None`` decodes the latent mean; ``cache`` is the decoder's
-        (``_lstm``). Raises ``NonFiniteError`` on a negative KL term or a
-        non-finite loss.
+        ``noise=None`` decodes the latent mean; ``cache`` is the decoder's (``_lstm``). Raises
+        ``NonFiniteError`` on a negative KL term or a non-finite loss.
         """
         p = self.params
         mu = h_enc @ p["mu_w"].T + p["mu_b"]
@@ -309,8 +309,7 @@ class LstmVaeScorer:
         are added into ``ws.grads``. For a (B, In) input the pre-activation
         gradients are summed over the steps first, so its input weights, bias
         and input take one product each after the loop, and the input
-        gradient is returned. The temporaries are ``ws``'s, written with
-        ``out=``; each element takes the commented expressions' operations.
+        gradient is returned. Temporaries are ``ws``'s; each element takes the comments' operations.
         """
         p, cache = self.params, getattr(ws, layer)
         wx, wh = p[f"{layer}_wx"], p[f"{layer}_wh"]
@@ -360,9 +359,10 @@ class LstmVaeScorer:
         g_b += da_sum.sum(axis=0)
         return da_sum @ wx
 
-    def _grads_batch(self, x: np.ndarray, cache, weight: float, ws: _Workspace):
-        """Gradients of weight * sum_b total_b into ``ws.flat``, from the forward kept in ``ws``."""
-        h_enc, (mu, logvar, z, diff, h_dec) = cache
+    def _grads_batch(self, x: np.ndarray, noise: np.ndarray, weight: float, ws: _Workspace):
+        """Losses of the windows ``x``, run in the workspace ``ws`` sized for them, and the
+        gradients of weight * sum_b total_b, written into ``ws.flat``."""
+        recon, kl, (h_enc, (mu, logvar, z, diff, h_dec)) = self._losses_batch(x, noise, ws)
         p, grads = self.params, ws.grads
         ws.flat.fill(0.0)
 
@@ -388,16 +388,14 @@ class LstmVaeScorer:
 
         dh_enc = dmu @ p["mu_w"] + dlogvar @ p["logvar_w"]
         self._lstm_backward(ws, "enc", x.transpose(1, 0, 2), None, dh_enc)
-        return ws.flat
+        return recon, kl
 
     def loss_and_gradients(self, window, noise: np.ndarray | None = None):
         """Loss of one window plus analytic gradients for every tensor."""
         x, noise = self._batch_of_one(window, noise)
         ws = _Workspace.allocate(self, 1)
-        recon, kl, cache = self._losses_batch(x, noise, ws)
-        value = LossValue(float(recon[0] + kl[0]), float(recon[0]), float(kl[0]))
-        self._grads_batch(x, cache, 1.0, ws)
-        return value, ws.grads
+        recon, kl = self._grads_batch(x, noise, 1.0, ws)
+        return LossValue(float(recon[0] + kl[0]), float(recon[0]), float(kl[0])), ws.grads
 
     # -------------------------------------------------------------- training
 
@@ -429,8 +427,8 @@ class LstmVaeScorer:
                     xb = x[order[start : start + batch]]
                     noise = self.rng.standard_normal((xb.shape[0], cfg.latent_size))
                     rows = ws.rows(xb.shape[0])
-                    _, _, cache = self._losses_batch(xb, noise, rows)
-                    g = self._grads_batch(xb, cache, 1.0 / xb.shape[0], rows)
+                    self._grads_batch(xb, noise, 1.0 / xb.shape[0], rows)
+                    g = rows.flat
                     step += 1
                     # Adam in place; each element takes the operations of b1 * m + (1 - b1) * g,
                     # b2 * v + (1 - b2) * g * g and lr * (m / bc1) / (sqrt(v / bc2) + eps) in order
@@ -518,10 +516,9 @@ def _gate_views(a: np.ndarray) -> tuple[np.ndarray, ...]:
 def _cell(a, gates, c_prev, c, tc, h, scale, shift, a_gm=None):
     """One LSTM step over B rows, in place, from the (B, 4H) pre-activation ``a``.
 
-    ``a`` becomes the gates, which ``gates`` views (``_gate_views``); the new
-    cell state is written to ``c`` (which may be ``c_prev``), its tanh to
-    ``tc`` and the hidden state to ``h``. With ``a_gm``, ``a``'s (4, B, H)
-    gate-major view, the gates are copied into the (4, B, H) block ``gates``.
+    ``a`` becomes the gates, which ``gates`` views (``_gate_views``), or, given ``a_gm``, ``a``'s
+    gate-major view, are copied into the (4, B, H) block ``gates``. The new cell state is
+    written to ``c`` (which may be ``c_prev``), its tanh to ``tc`` and the hidden state to ``h``.
 
     All four gates come from one ``tanh`` over ``a``, by sigmoid(x) =
     tanh(x / 2) / 2 + 1 / 2: the i, f and o slices are halved before the
@@ -567,6 +564,7 @@ class _Workspace(NamedTuple):
     gm: np.ndarray  # (2, 4, B, H): da's leading factors and its (1 - gate) factors
     da: np.ndarray  # (2, B, 4H): da, and the decoder's sum of it over the steps
     twh: np.ndarray  # (4H, H): one step's recurrent weight-gradient product
+    xw: np.ndarray  # (B, T, 4H): the encoder's input projections
     flat: np.ndarray  # the gradient vector, laid out like ``_flat``
     grads: dict[str, np.ndarray]  # its named tensor views
 
@@ -574,10 +572,12 @@ class _Workspace(NamedTuple):
     def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Workspace":
         t, h_n = scorer.config.timestep, scorer.config.hidden_size
         layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
-        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n)]
+        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n),
+                  (b, t, 4 * h_n)]
         sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # whole 64-byte lines
-        raw = np.empty(sum(sizes) + 8)
-        flat = raw[(-raw.ctypes.data % 64) // 8 :]
+        # mapped, not malloc'd: glibc frees a block this size by raising its mmap and trim
+        # thresholds, after which later workspaces sat in an untrimmed heap (+2-5 MB peak RSS)
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
         starts = itertools.accumulate(sizes, initial=0)
         arrays = [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
         enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
@@ -588,7 +588,7 @@ class _Workspace(NamedTuple):
         """The workspace of a minibatch of ``b`` windows: views of the leading b rows."""
         enc, dec = (_Cache(*(v[..., :b, :] for v in c)) for c in (self.enc, self.dec))
         return self._replace(enc=enc, dec=dec, bh=self.bh[..., :b, :], gm=self.gm[..., :b, :],
-                             da=self.da[..., :b, :])
+                             da=self.da[..., :b, :], xw=self.xw[:b])
 
 
 class _Stream:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -494,8 +495,8 @@ class TestWorkspace:
         grads = []
         for scorer, ws in ((s, _Workspace.allocate(s, b + spare).rows(b)),
                            (ref, _Workspace.allocate(ref, b))):
-            _, _, cache = scorer._losses_batch(x[:b], noise, ws)
-            grads.append(scorer._grads_batch(x[:b], cache, 1.0 / b, ws).tobytes())
+            losses = scorer._grads_batch(x[:b], noise, 1.0 / b, ws)
+            grads.append((ws.flat.tobytes(), *(v.tobytes() for v in losses)))
         assert grads[0] == grads[1]
         (value, got), (ref_value, want) = (m.loss_and_gradients(x[0], noise[0]) for m in (s, ref))
         assert value == ref_value
@@ -505,14 +506,21 @@ class TestWorkspace:
         assert s._flat.tobytes() == ref._flat.tobytes()
         assert s.rng.bit_generator.state == ref.rng.bit_generator.state
 
-    def test_train_frees_its_workspace(self):
-        # the workspace lives for one train call; a scorer that kept it would hold
-        # about 540 KB here after its first call
+    def test_train_frees_its_workspace(self, monkeypatch):
+        # the workspace lives for one train call: its mapped cache and its gradient
+        # vector are released when train returns, and traced memory is back
         cfg = ScorerConfig(timestep=10, n_features=4, hidden_size=16, latent_size=4,
                            batch_size=32, seed=5)
         x = np.random.default_rng(6).uniform(size=(40, 10, 4))
         LstmVaeScorer(cfg).train(x, epochs=1)  # fills the module's memos first
-        s = LstmVaeScorer(cfg)
+        s, buffers, allocate = LstmVaeScorer(cfg), [], _Workspace.allocate
+
+        def spy(scorer, b):
+            ws = allocate(scorer, b)
+            buffers.extend(weakref.ref(v.base) for v in (ws.enc.gates, ws.flat))
+            return ws
+
+        monkeypatch.setattr(_Workspace, "allocate", spy)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -520,6 +528,7 @@ class TestWorkspace:
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert len(buffers) == 2 and all(ref() is None for ref in buffers)
         assert after - before <= 64 * 1024
 
 
