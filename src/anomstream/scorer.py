@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (CorruptCheckpointError, NonFiniteError, ShapeMismatchError, _store_floats,
-                     _store_ints)
+from .errors import (CorruptCheckpointError, NonFiniteError, ShapeMismatchError, _is_int,
+                     _store_floats, _store_ints)
 
 _CHECKPOINT_VERSION = 1
 _SCORE_CHUNK = 128  # windows per ``score_many`` forward pass, bounding its intermediates
@@ -48,6 +48,8 @@ _PARAM_SHAPES = {
     "out_w": lambda h, l, d: (d, h),
     "out_b": lambda h, l, d: (d,),
 }
+# the tensors ``_Stream`` copies into its own layout, in its block's order
+_STREAM_WEIGHTS = ("enc_wx", "enc_wh", "enc_b", "dec_wx", "dec_wh", "dec_b")
 
 
 @dataclass(kw_only=True)  # so timestep, defaulted, stays first: checkpoints keep their key order
@@ -109,8 +111,10 @@ class LstmVaeScorer:
     ``params`` maps each tensor's name to its view of one float64 vector, and
     cannot be rebound. ``score``, ``score_many`` and ``loss`` are pure.
     ``score_stream`` updates a memo of the last stream scored and ``train``
-    changes the weights and re-primes that memo, so neither is thread-safe;
-    edits to ``params`` made outside ``train`` leave the memo stale.
+    changes the weights and re-primes that memo, so neither is thread-safe.
+    The memo holds its own copies of the encoder's and decoder's weights, laid
+    out for its step, next to the states it keeps: edits to ``params`` made
+    outside ``train`` leave both stale until the memo is next built.
     """
 
     def __init__(self, config: ScorerConfig):
@@ -127,10 +131,8 @@ class LstmVaeScorer:
         self.params = MappingProxyType(views)
 
     def _vector(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """A zeroed float64 vector laid out like ``_flat``, and its named tensor views. It starts
-        on a 64-byte boundary: off one, scoring ran up to 14% and training 6% slower (AVX-512)."""
-        raw = np.zeros(self._ends[-1] + 8)
-        flat = raw[(-raw.ctypes.data % 64) // 8 :][: self._ends[-1]]
+        """A zeroed float64 vector laid out like ``_flat``, and its named tensor views."""
+        flat = _aligned_zeros(self._ends[-1])
         parts = zip(self._shapes.items(), np.split(flat, self._ends[:-1]))
         return flat, {name: v.reshape(shape) for (name, shape), v in parts}
 
@@ -195,21 +197,22 @@ class LstmVaeScorer:
                          out=None if ws is None else ws.xw.reshape(b * t, -1)).reshape(b, t, -1)
         x_wx += p["enc_b"]
         hs = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], ws and ws.enc)
-        recon, kl, tail = self._tail(x, hs[-1], noise, ws and ws.dec)
+        recon, kl, tail = self._tail(x, hs[-1], noise, lambda z: self._lstm(  # z at every step
+            z @ p["dec_wx"].T + p["dec_b"], t, p["dec_wh"], ws and ws.dec))
         return recon, kl, (hs[-1], tail)
 
-    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, cache):
+    def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, decode):
         """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
 
-        ``noise=None`` decodes the latent mean; ``cache`` is the decoder's (``_lstm``). Raises
+        ``noise=None`` decodes the latent mean. ``decode`` runs the decoder: it maps the (B, L)
+        latents to the (T, B, H) hidden states (``_lstm``, or the stream's fused step). Raises
         ``NonFiniteError`` on a negative KL term or a non-finite loss.
         """
         p = self.params
         mu = h_enc @ p["mu_w"].T + p["mu_b"]
         logvar = h_enc @ p["logvar_w"].T + p["logvar_b"]
         z = mu if noise is None else reparameterize(mu, logvar, noise)
-        z_wx = z @ p["dec_wx"].T + p["dec_b"]  # the decoder's input at every step
-        h_dec = self._lstm(z_wx, x.shape[1], p["dec_wh"], cache)
+        h_dec = decode(z)
         # batch-major rows, so the output projection is one GEMM into (B, T, D)
         h_rows = h_dec.transpose(1, 0, 2).reshape(-1, h_dec.shape[2])
         xhat = (h_rows @ p["out_w"].T).reshape(x.shape)
@@ -247,32 +250,15 @@ class LstmVaeScorer:
 
     # ------------------------------------------------------------- streaming
 
-    def _advance(self, stream: "_Stream", row: np.ndarray, position: int) -> None:
-        """Feed the row at stream ``position`` to every window in flight in one T-row step.
-
-        The slot of the window that starts with this row, the one ending at
-        ``position + T - 1``, is zeroed first; it last held the window that
-        ended at ``position - 1``.
-        """
-        p = self.params
-        slot = (position - 1) % self.config.timestep
-        stream.h[slot] = 0.0
-        stream.c[slot] = 0.0
-        np.matmul(stream.h, p["enc_wh"].T, out=stream.a)
-        np.matmul(row, p["enc_wx"].T, out=stream.xw)
-        stream.xw += p["enc_b"]
-        stream.a += stream.xw
-        _cell(stream.a, stream.gates, stream.c, stream.c, stream.tc, stream.h, *stream.affine)
-
     def _prime(self, rows: np.ndarray, position: int) -> "_Stream":
         """A fresh stream memo for the window at ``position``, from ``rows``, the T - 1 before it.
 
         Every slot runs in its fixed position, so the windows in flight hold
         the same bits as a stream that ran through those rows without a break.
         """
-        stream = _Stream(self.config, rows, position)
+        stream = _Stream(self, rows, position)
         for k, row in enumerate(rows):
-            self._advance(stream, row, position - len(rows) + k)
+            stream.advance(row, position - len(rows) + k)
         return stream
 
     def score_stream(self, window, position: int) -> float:
@@ -281,15 +267,19 @@ class LstmVaeScorer:
         The memo is reused if ``position`` is its next one and the window starts
         with its T - 1 rows, else rebuilt from the window (``_prime``). The new
         row advances every window in flight; the one it completes is scored.
+        A ``position`` that is not an integer raises ``TypeError``.
         """
+        if not _is_int(position):  # before the memo is touched
+            raise TypeError(f"position must be an integer, got {position!r}")
+        position = int(position)
         x, _ = self._batch_of_one(window, None)
         head = x[0, :-1]
         stream, self._stream = self._stream, None  # invalid until the loss passes _tail's checks
         if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
             stream = self._prime(head, position)
-        self._advance(stream, x[0, -1], position)
-        h_enc = stream.h[position % self.config.timestep][None]
-        recon, kl, _ = self._tail(x, h_enc, None, None)
+        stream.advance(x[0, -1], position)
+        h_enc = stream.enc_h[position % self.config.timestep][None]
+        recon, kl, _ = self._tail(x, h_enc, None, stream.decode)
         stream.rows[...] = x[0, 1:]
         stream.position = position + 1
         self._stream = stream
@@ -415,8 +405,10 @@ class LstmVaeScorer:
         batch = min(cfg.batch_size, n)
         saved = self._flat.copy()
         rng_state = self.rng.bit_generator.state
-        # stale from here on, so only the rows and position are held through the fine-tune
-        stream, self._stream = self._stream and (self._stream.rows, self._stream.position), None
+        # stale from here on, so only the rows and position are held through the fine-tune; a
+        # copy of the rows, as a view would keep the memo's whole block alive (+1 MB peak RSS)
+        stream = self._stream and (self._stream.rows.copy(), self._stream.position)
+        self._stream = None
         m, v, scratch = (self._vector()[0] for _ in range(3))
         ws = _Workspace.allocate(self, batch)  # freed on return
         step = 0
@@ -493,7 +485,23 @@ class LstmVaeScorer:
         return scorer
 
 
-@functools.lru_cache(maxsize=2)  # sizes live together: a batch and its remainder, or T and 1
+def _aligned_zeros(n: int) -> np.ndarray:
+    """n zeroed float64s from a 64-byte boundary: off one, scoring ran up to 14% and training 6%
+    slower (AVX-512)."""
+    raw = np.zeros(n + 8)
+    return raw[(-raw.ctypes.data % 64) // 8 :][:n]
+
+
+def _carve(shapes: list[tuple[int, ...]], block=_aligned_zeros) -> list[np.ndarray]:
+    """Float64 arrays of ``shapes`` laid end to end in one ``block(n)`` of n floats, which starts
+    on a 64-byte boundary; each array starts on one too."""
+    sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # whole 64-byte lines
+    flat = block(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    return [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
+
+
+@functools.lru_cache(maxsize=2)  # sizes live together: a batch and its remainder
 def _gate_affine(b: int, h_n: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, shift) that ``_cell`` applies around its ``tanh``, for B rows of 4H gates.
 
@@ -574,12 +582,9 @@ class _Workspace(NamedTuple):
         layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
         shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n),
                   (b, t, 4 * h_n)]
-        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]  # whole 64-byte lines
         # mapped, not malloc'd: glibc frees a block this size by raising its mmap and trim
         # thresholds, after which later workspaces sat in an untrimmed heap (+2-5 MB peak RSS)
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        starts = itertools.accumulate(sizes, initial=0)
-        arrays = [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
+        arrays = _carve(shapes, lambda n: np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64))
         enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
         enc.c[0] = dec.c[0] = 0.0
         return cls(enc, dec, *arrays[10:], *scorer._vector())
@@ -591,23 +596,104 @@ class _Workspace(NamedTuple):
                              da=self.da[..., :b, :], xw=self.xw[:b])
 
 
+def _fused_step(gates: tuple[np.ndarray, ...], pre: np.ndarray, h: np.ndarray) -> None:
+    """One LSTM step of the stream memo, in place, on a gate-major state z = [c | g | f | i | o].
+
+    ``gates`` holds ``_Stream._gates``' views of z and ``pre`` the (g, f, i, o) pre-activation,
+    its sigmoid rows already halved, so one ``tanh`` and the (scale, shift) pass give the gates
+    (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2). As c sits next to g and f next to i, c * f + g * i
+    is one multiply and one add; ``h`` gets o * tanh(c). Each element takes ``_cell``'s
+    operations in its order, so the bits are ``_lstm``'s.
+    """
+    a, cg, fi, c, g, o, scale, shift = gates
+    np.tanh(pre, out=a)
+    a *= scale
+    a += shift
+    cg *= fi
+    c += g
+    np.tanh(c, out=h)
+    h *= o
+
+
 class _Stream:
     """The scorer's memo of the last record stream it scored.
 
-    Slot ``e mod T`` holds the encoder (h, c) of the window ending at stream
+    Slot ``e mod T`` holds the encoder state of the window ending at stream
     position ``e``, for the T windows in flight; ``rows`` is a copy of the
-    T - 1 rows the window at the next ``position`` starts with. Every array
-    of the step is allocated here, once.
+    T - 1 rows the window at the next ``position`` starts with.
+
+    Both recurrences run ``_fused_step``, the encoder on a (5, T, H) state and the decoder on
+    a (5, H) one. They read copies of the encoder's and the decoder's ``wx``, ``wh`` and ``b``
+    made when the memo is built, gate rows reordered from (i, f, g, o) to (g, f, i, o) and the
+    sigmoid rows halved: halving is exact, so ``_cell``'s scaling pass before ``tanh`` goes.
+    Every array (those weights, the states, the buffers, the decoder's (T, H) hidden states)
+    is a view of one zeroed float64 block and starts on a 64-byte boundary, as ``_vector``'s
+    do; no step allocates.
     """
 
-    def __init__(self, config: ScorerConfig, rows: np.ndarray, position: int):
-        timestep, hidden_size = config.timestep, config.hidden_size
-        self.rows = rows.copy()
+    def __init__(self, scorer: LstmVaeScorer, rows: np.ndarray, position: int):
+        cfg, p = scorer.config, scorer.params
+        t, h_n = cfg.timestep, cfg.hidden_size
+        shapes = [(t - 1, cfg.n_features), *(p[name].shape for name in _STREAM_WEIGHTS),
+                  (5, t, h_n), (2, 4, t, h_n), (t, h_n), (t, 4 * h_n), (t, 4 * h_n),
+                  (5, h_n), (2, 4, h_n), (t, h_n), (4 * h_n,)]
+        self.rows, *weights = _carve(shapes)
+        (enc_z, enc_affine, self.enc_h, self.enc_pre, self.enc_xw,
+         dec_z, dec_affine, self.dec_h, self.dec_xw) = weights[6:]
+        order = np.r_[2 * h_n : 3 * h_n, h_n : 2 * h_n, :h_n, 3 * h_n : 4 * h_n]
+        for name, w in zip(_STREAM_WEIGHTS, weights):
+            np.take(p[name], order, axis=0, out=w)
+            w[h_n:] *= 0.5
+        enc_wx, enc_wh, self.enc_b, dec_wx, dec_wh, self.dec_b = weights[:6]
+        self.enc_wx_t, self.enc_wh_t, self.dec_wx_t, self.dec_wh_t = (
+            w.T for w in (enc_wx, enc_wh, dec_wx, dec_wh))
+        for affine in (enc_affine, dec_affine):  # after the tanh: g * 1 + 0, sigmoids * 1/2 + 1/2
+            affine[0, 0] = 1.0
+            affine[:, 1:] = 0.5
+        self.enc_gates = self._gates(enc_z, enc_affine)
+        self.dec_gates = self._gates(dec_z, dec_affine)
+        self.rows[...] = rows
         self.position = position
-        self.h = np.zeros((timestep, hidden_size))
-        self.c = np.zeros((timestep, hidden_size))
-        self.tc = np.empty((timestep, hidden_size))
-        self.a = np.empty((timestep, 4 * hidden_size))
-        self.gates = _gate_views(self.a)
-        self.xw = np.empty(4 * hidden_size)
-        self.affine = _gate_affine(timestep, hidden_size)
+
+    @staticmethod
+    def _gates(z: np.ndarray, affine: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_fused_step``'s views of the state ``z``: (g, f, i, o), (c, g), (f, i), c, g and o,
+        then the (scale, shift) pair ``affine``."""
+        return z[1:], z[:2], z[2:4], z[0], z[1], z[4], *affine
+
+    def advance(self, row: np.ndarray, position: int) -> None:
+        """Feed the row at stream ``position`` to every window in flight in one T-row step.
+
+        The slot of the window that starts with this row, the one ending at
+        ``position + T - 1``, is zeroed first; it last held the window that
+        ended at ``position - 1``. The (T, H) @ (H, 4H) product is ``_lstm``'s
+        BLAS call, slot-major, and one copy puts it gate-major: a GEMM written
+        gate-major or per gate sums in another order at some sizes (T=30, H=63).
+        """
+        h, pre, xw, gates = self.enc_h, self.enc_pre, self.enc_xw, self.enc_gates
+        slot = (position - 1) % len(h)
+        h[slot] = 0.0
+        gates[3][slot] = 0.0  # c
+        np.matmul(h, self.enc_wh_t, out=pre)
+        np.dot(row, self.enc_wx_t, out=xw[0])
+        xw[0] += self.enc_b
+        xw[1:] = xw[0]  # a broadcast add would allocate numpy's buffer on every call
+        pre += xw
+        np.copyto(gates[0], pre.reshape(len(h), 4, -1).transpose(1, 0, 2))
+        _fused_step(gates, gates[0], h)
+
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """The decoder's (T, 1, H) hidden states for the (1, L) latent ``z`` (``_tail``'s
+        ``decode``). Step 1's pre-activation is the input projection alone, as h0 = 0; a step
+        makes 9 passes, the matvec and the input add among them, where ``_lstm`` makes 11."""
+        gates, xw, hs, wh_t = self.dec_gates, self.dec_xw, self.dec_h, self.dec_wh_t
+        a = gates[0].reshape(-1)
+        np.dot(z[0], self.dec_wx_t, out=xw)
+        xw += self.dec_b
+        gates[3][...] = 0.0  # c0
+        _fused_step(gates, xw.reshape(4, -1), hs[0])
+        for h_prev, h in zip(hs, hs[1:]):
+            np.dot(h_prev, wh_t, out=a)
+            a += xw
+            _fused_step(gates, gates[0], h)
+        return hs[:, None]

@@ -386,6 +386,23 @@ class TestStreaming:
         with pytest.raises(ShapeMismatchError):
             s.score_stream(np.zeros((2, 2)), 0)
 
+    def test_non_integer_position_is_refused_before_the_memo(self):
+        # a float or bool position raises TypeError and leaves the memo as it was, so the
+        # stream goes on without a re-prime; a NumPy integer is a position
+        rows = np.random.default_rng(8).normal(size=(12, 2))
+        s, reference = toy_scorer(seed=4), toy_scorer(seed=4)
+        stream_losses(s, rows[:6], 0)
+        memo = s._stream
+        for position in (6.5, 6.0, True, "6", None):
+            with pytest.raises(TypeError, match="position"):
+                s.score_stream(rows[4:7], position)
+            assert s._stream is memo
+        through, _ = stream_losses(reference, rows, 0)
+        got, primes = stream_losses(s, rows[4:11], 4)
+        assert primes == [] and got.tobytes() == through[4:9].tobytes()
+        assert s.score_stream(rows[9:12], np.int64(11)) == through[9]
+        assert s._stream.position == 12 and type(s._stream.position) is int
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_train_changes_nothing(self):
         # a fine-tune whose loss overflows is rolled back: the weights, the
@@ -407,6 +424,156 @@ class TestStreaming:
         for e in range(30, 40):
             window = rows[e - 2 : e + 1]
             assert s.score_stream(window, e) == reference.score_stream(window, e)
+
+
+class CellStream:
+    """The stream memo before the derived weights: each slot's (h, c) and one (T, 4H) gate
+    buffer for ``_cell``, each array allocated on its own."""
+
+    def __init__(self, config, rows, position):
+        t, h_n = config.timestep, config.hidden_size
+        self.rows = rows.copy()
+        self.position = position
+        self.h = np.zeros((t, h_n))
+        self.c = np.zeros((t, h_n))
+        self.tc = np.empty((t, h_n))
+        self.a = np.empty((t, 4 * h_n))
+        self.gates = _gate_views(self.a)
+        self.xw = np.empty(4 * h_n)
+        self.affine = _gate_affine(t, h_n)
+
+
+class CellStreaming(LstmVaeScorer):
+    """The streaming path before the fused step, as a reference: the encoder's T-row
+    step runs ``_cell`` on ``params`` as they are, and the decoder is ``_lstm`` at B = 1."""
+
+    def _advance(self, stream, row, position):
+        p = self.params
+        slot = (position - 1) % self.config.timestep
+        stream.h[slot] = 0.0
+        stream.c[slot] = 0.0
+        np.matmul(stream.h, p["enc_wh"].T, out=stream.a)
+        np.matmul(row, p["enc_wx"].T, out=stream.xw)
+        stream.xw += p["enc_b"]
+        stream.a += stream.xw
+        _cell(stream.a, stream.gates, stream.c, stream.c, stream.tc, stream.h, *stream.affine)
+
+    def _prime(self, rows, position):
+        stream = CellStream(self.config, rows, position)
+        for k, row in enumerate(rows):
+            self._advance(stream, row, position - len(rows) + k)
+        return stream
+
+    def score_stream(self, window, position):
+        x, _ = self._batch_of_one(window, None)
+        head = x[0, :-1]
+        stream, self._stream = self._stream, None
+        if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
+            stream = self._prime(head, position)
+        self._advance(stream, x[0, -1], position)
+        h_enc = stream.h[position % self.config.timestep][None]
+        p, t = self.params, self.config.timestep
+        recon, kl, _ = self._tail(x, h_enc, None, lambda z: self._lstm(
+            z @ p["dec_wx"].T + p["dec_b"], t, p["dec_wh"]))
+        stream.rows[...] = x[0, 1:]
+        stream.position = position + 1
+        self._stream = stream
+        return float(recon[0] + kl[0])
+
+
+class TestStreamMemo:
+    @given(
+        st.integers(1, 6), st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+        st.integers(1, 12), st.integers(-40, 40), st.sets(st.integers(0, 20)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_cell_reference_bitwise(self, t, d, h, l, n, start, cuts, seed):
+        cfg = ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l, seed=seed)
+        rows = np.random.default_rng(seed).normal(size=(t - 1 + n, d))
+        cuts = {c + t - 1 for c in cuts}
+        (got, got_primes), (want, want_primes) = (
+            stream_losses(cls(cfg), rows, start, cuts) for cls in (LstmVaeScorer, CellStreaming))
+        assert got.tobytes() == want.tobytes()
+        assert got_primes == want_primes
+
+    @pytest.mark.parametrize("d, h", [(8, 64), (39, 64), (8, 63)])
+    def test_matches_the_cell_reference_after_training(self, d, h):
+        # the default geometry, and H=63, where a gate-major GEMM changes bits
+        cfg = ScorerConfig(n_features=d, hidden_size=h, seed=5)
+        rows = np.random.default_rng(d).uniform(size=(150, d))
+        losses = []
+        for cls in (LstmVaeScorer, CellStreaming):
+            s = cls(cfg)
+            stream_losses(s, rows[:40], 3)
+            s.train(windows(rows[:60], 30), epochs=2)
+            losses.append(stream_losses(s, rows[10:], 13, {70, 101})[0].tobytes())
+        assert losses[0] == losses[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_memo_follows_the_weights(self, tmp_path):
+        # after a train, a rolled-back train and a save and load, the stream goes on with
+        # the bits of a fresh scorer holding the same weights: the memo re-primed by train
+        # holds no weights from before it
+        rows = np.random.default_rng(4).uniform(size=(40, 2))
+
+        def continued(scorer):
+            losses, primes = stream_losses(scorer, rows[18:], 18)
+            return losses.tobytes(), primes
+
+        def fresh(scorer):
+            twin = toy_scorer(seed=2)
+            twin._flat[...] = scorer._flat
+            return continued(twin)[0]
+
+        s, diverging = toy_scorer(seed=2, batch_size=4), toy_scorer(seed=2, learning_rate=1e6)
+        for scorer in (s, diverging):
+            stream_losses(scorer, rows[:20], 0)
+        before = s._flat.copy()
+        s.train(windows(rows[:20], 3), epochs=2)
+        assert not np.array_equal(s._flat, before)
+        with pytest.raises(NonFiniteError):
+            diverging.train(windows(rows[:20], 3), epochs=3)
+        for scorer in (s, diverging):
+            losses, primes = continued(scorer)
+            assert primes == [] and losses == fresh(scorer)
+        s.save(tmp_path / "s.npz")
+        loaded = LstmVaeScorer.load(tmp_path / "s.npz")
+        assert continued(loaded)[0] == fresh(s)
+
+    def test_train_lets_the_old_memo_go(self, monkeypatch):
+        # the fine-tune keeps a copy of the memo's rows, not a view that holds its block
+        rows = np.random.default_rng(5).uniform(size=(12, 2))
+        s = toy_scorer(seed=3)
+        stream_losses(s, rows, 0)
+        block, seen, allocate = weakref.ref(s._stream.rows.base), [], _Workspace.allocate
+
+        def spy(scorer, b):
+            seen.append(block())
+            return allocate(scorer, b)
+
+        monkeypatch.setattr(_Workspace, "allocate", spy)
+        s.train(windows(rows, 3), epochs=1)
+        assert seen == [None] and s._stream.rows.base is not None
+
+    def test_memo_is_one_aligned_block_and_steps_allocate_nothing(self):
+        s = LstmVaeScorer(ScorerConfig(n_features=3, seed=1))
+        rows = np.random.default_rng(1).uniform(size=(40, 3))
+        stream_losses(s, rows[:35], 0)
+        memo = vars(s._stream).values()
+        arrays = [v for v in memo if isinstance(v, np.ndarray)]
+        views = [v for group in memo if isinstance(group, tuple) for v in group]
+        assert len(arrays) >= 10 and all(v.base is arrays[0].base for v in arrays + views)
+        assert all(v.ctypes.data % 64 == 0 for v in arrays)
+        z = np.random.default_rng(2).normal(size=(1, 32))
+        tracemalloc.start()
+        try:
+            s._stream.advance(rows[35], 35)
+            s._stream.decode(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # a (T, H) array alone is 15 KB
 
 
 class PerStepBptt(LstmVaeScorer):
