@@ -341,6 +341,16 @@ def _cell(row: dict, column: str, parse, path: Path):
         raise ingest.SchemaMismatchError(f"bad {column!r} value {cell!r} in {path.name}") from None
 
 
+def _by_index(rows: list[dict], path: Path) -> dict[int, dict]:
+    """``rows`` by their ``index`` cell, in order; an index that repeats is a data error."""
+    by_index = {}
+    for row in rows:
+        idx = _cell(row, "index", int, path)
+        if by_index.setdefault(idx, row) is not row:
+            raise LengthMismatchError(f"index {idx} repeats in {path.name}")
+    return by_index
+
+
 def _finite(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
@@ -382,13 +392,12 @@ def _cmd_eval(args) -> int:
     truth_path = Path(args.truth)
     verdict_rows = _table(verdict_path, ("index", "loss", "label"))
     truth_rows = _table(truth_path, ("index", "label"))
-    by_index = {_cell(row, "index", int, verdict_path): row for row in verdict_rows}
+    by_index = _by_index(verdict_rows, verdict_path)
 
     # a log with a score column is ranked by it, every cell; one without, by normalised loss
     column = "score" if verdict_rows and "score" in verdict_rows[0] else "loss"
     predicted, truth, scores = [], [], []
-    for row in truth_rows:
-        idx = _cell(row, "index", int, truth_path)
+    for idx, row in _by_index(truth_rows, truth_path).items():
         if idx not in by_index:
             raise LengthMismatchError(f"truth index {idx} missing from verdict log")
         v = by_index[idx]

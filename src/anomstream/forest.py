@@ -187,16 +187,18 @@ def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig | None = None,
     config = config or ForestConfig()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    present = np.unique(y)
-    if np.any((present != 0) & (present != 1)):
-        raise ValueError(f"labels must be 0 (normal) or 1 (abnormal), got {present.tolist()}")
+    # masks, not np.unique: NumPy 2.4's np.unique imports numpy.ma (+1.25 MB of RSS)
+    masks = (y == Label.NORMAL, y == Label.ABNORMAL)
+    if not np.logical_or(*masks).all():
+        raise ValueError(f"labels must be 0 (normal) or 1 (abnormal), got {np.unique(y).tolist()}")
+    present = [label.display for label, mask in zip(Label, masks) if mask.any()]
     # before the shape check, so an empty batch of any shape is degenerate
-    if present.size < 2:
+    if len(present) < 2:
         raise DegenerateTrainingSetError(
             "training set must contain both classes, got only "
-            + (Label(int(present[0])).display if present.size else "nothing")
+            + (present[0] if present else "nothing")
         )
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError(f"bad training shapes {x.shape} / {y.shape}")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seed_value = seed if isinstance(seed, int) else -1

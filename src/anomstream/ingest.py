@@ -113,6 +113,9 @@ class CsvSchema:
         features = doc.get("features") if isinstance(doc, dict) else None
         if not isinstance(features, list) or not all(isinstance(c, str) for c in features):
             raise SchemaMismatchError(f"schema {path.name} needs a 'features' list of column names")
+        for key in ("label", "timestamp"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise SchemaMismatchError(f"schema {path.name} '{key}' must be a column name or null")
         label_map = doc.get("label_map", {})
         if not isinstance(label_map, dict) or not all(isinstance(n, str) for n in label_map.values()):
             raise SchemaMismatchError(f"schema {path.name} needs a 'label_map' object of label names")

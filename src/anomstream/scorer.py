@@ -572,7 +572,7 @@ class _Workspace(NamedTuple):
     gm: np.ndarray  # (2, 4, B, H): da's leading factors and its (1 - gate) factors
     da: np.ndarray  # (2, B, 4H): da, and the decoder's sum of it over the steps
     twh: np.ndarray  # (4H, H): one step's recurrent weight-gradient product
-    xw: np.ndarray  # (B, T, 4H): the encoder's input projections
+    xw: np.ndarray  # (B, T, 4H): the encoder's input projections, on ``dec.gates``' floats
     flat: np.ndarray  # the gradient vector, laid out like ``_flat``
     grads: dict[str, np.ndarray]  # its named tensor views
 
@@ -580,14 +580,15 @@ class _Workspace(NamedTuple):
     def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Workspace":
         t, h_n = scorer.config.timestep, scorer.config.hidden_size
         layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
-        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n),
-                  (b, t, 4 * h_n)]
+        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n)]
         # mapped, not malloc'd: glibc frees a block this size by raising its mmap and trim
         # thresholds, after which later workspaces sat in an untrimmed heap (+2-5 MB peak RSS)
         arrays = _carve(shapes, lambda n: np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64))
         enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
         enc.c[0] = dec.c[0] = 0.0
-        return cls(enc, dec, *arrays[10:], *scorer._vector())
+        # the input projections are spent when the encoder's loop ends, before the decoder
+        # writes its first gate, so they take the decoder's gate cache (T * 4 * B * H floats)
+        return cls(enc, dec, *arrays[10:], dec.gates.reshape(b, t, 4 * h_n), *scorer._vector())
 
     def rows(self, b: int) -> "_Workspace":
         """The workspace of a minibatch of ``b`` windows: views of the leading b rows."""

@@ -384,6 +384,26 @@ class TestEval:
     @pytest.mark.parametrize(
         "verdict_log, truth_csv, named",
         [
+            ("index,loss,route,label\n0,1.0,classifier,normal\n0,9.0,classifier,abnormal\n",
+             "index,label\n0,normal\n", "verdicts.csv"),
+            ("index,loss,route,label\n0,1.0,classifier,normal\n1,9.0,classifier,abnormal\n",
+             "index,label\n1,abnormal\n0,normal\n1,abnormal\n", "truth.csv"),
+        ],
+        ids=["verdict-log", "truth"],
+    )
+    def test_repeated_index_is_data_error(self, tmp_path, capsys, verdict_log, truth_csv, named):
+        # a log holding index 0 twice with conflicting labels would score whichever came last
+        verdicts = tmp_path / "verdicts.csv"
+        truth = tmp_path / "truth.csv"
+        verdicts.write_text(verdict_log)
+        truth.write_text(truth_csv)
+        assert main(["eval", "--verdicts", str(verdicts), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "index " in err and named in err
+
+    @pytest.mark.parametrize(
+        "verdict_log, truth_csv, named",
+        [
             ("loss,route,label,score\n1.0,classifier,normal,0.5\n", "index,label\n0,normal\n",
              "'index'"),
             ("index,route,label,score\n0,classifier,normal,0.5\n", "index,label\n0,normal\n",

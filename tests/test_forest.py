@@ -3,13 +3,18 @@
 import contextlib
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anomstream
 from anomstream.errors import (
     CorruptCheckpointError,
     DegenerateTrainingSetError,
@@ -401,6 +406,24 @@ class TestFitForest:
     def test_label_outside_binary_rejected(self, labels):
         with pytest.raises(ValueError, match="labels must be 0"):
             fit_forest(np.arange(8.0).reshape(4, 2), np.array(labels), seed=0)
+
+    def test_two_dimensional_labels_rejected(self):
+        # an (n, 1) column has n rows, but it would broadcast against the node's sorted labels
+        x, y = self._separable(n=40)
+        with pytest.raises(ValueError, match=r"bad training shapes \(40, 2\) / \(40, 1\)"):
+            fit_forest(x, y[:, None], ForestConfig(n_estimators=2), seed=0)
+
+    def test_fit_leaves_numpy_ma_unloaded(self):
+        # NumPy 2.4's np.unique imports numpy.ma, +1.25 MB of RSS in every run that fits a forest
+        script = ("import sys; import numpy as np; from anomstream.forest import fit_forest; "
+                  "x = np.random.default_rng(0).normal(size=(40, 3)); "
+                  "fit_forest(x, np.arange(40) % 2); print('numpy.ma' in sys.modules)")
+        src = str(Path(anomstream.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestPredict:

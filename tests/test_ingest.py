@@ -93,9 +93,12 @@ class TestLoadCsv:
             ({"features": ["a"], "label_map": ["normal"]}, "label_map"),
             ({"features": ["a"], "label_map": {"x": 1}}, "label_map"),
             ({"features": ["a"], "label_map": {"normal": "bogus"}}, "label_map"),
+            ({"features": ["a"], "label": ["label"]}, "'label'"),
+            ({"features": ["a"], "timestamp": ["ts"]}, "'timestamp'"),
         ],
         ids=["not_object", "features_missing", "features_not_list", "feature_not_string",
-             "label_map_not_object", "label_name_not_string", "unknown_label_name"],
+             "label_map_not_object", "label_name_not_string", "unknown_label_name",
+             "label_not_string", "timestamp_not_string"],
     )
     def test_malformed_schema_document(self, tmp_path, doc, match):
         path = tmp_path / "schema.json"

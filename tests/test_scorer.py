@@ -673,6 +673,22 @@ class TestWorkspace:
         assert s._flat.tobytes() == ref._flat.tobytes()
         assert s.rng.bit_generator.state == ref.rng.bit_generator.state
 
+    @pytest.mark.parametrize("t, h, b", [(30, 64, 32), (3, 5, 7)])
+    def test_input_projections_take_the_decoder_gate_cache(self, t, h, b):
+        # xw is spent when the encoder's loop ends, before the decoder writes its first gate,
+        # so the map holds no floats for it: a remainder's xw is the cache's leading floats too
+        cfg = ScorerConfig(timestep=t, n_features=3, hidden_size=h, latent_size=2, seed=1)
+        ws = _Workspace.allocate(LstmVaeScorer(cfg), b)
+        mapped = ws.enc.gates.base
+        for rows, xw in ((b, ws.xw), (b - 1, ws.rows(b - 1).xw)):
+            assert xw.shape == (rows, t, 4 * h) and xw.flags.c_contiguous
+            assert xw.ctypes.data == ws.dec.gates.ctypes.data
+            assert np.shares_memory(xw, ws.dec.gates)
+        rest = [*ws.enc, *ws.dec, ws.bh, ws.gm, ws.da, ws.twh]
+        assert all(v.base is mapped for v in rest)
+        assert mapped.size == sum(-(-v.size // 8) * 8 for v in rest)  # whole 64-byte lines
+        assert len(mapped.base) == 8 * mapped.size
+
     def test_train_frees_its_workspace(self, monkeypatch):
         # the workspace lives for one train call: its mapped cache and its gradient
         # vector are released when train returns, and traced memory is back
