@@ -13,7 +13,6 @@ checkpoints round-trip bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -48,8 +47,8 @@ _PARAM_SHAPES = {
     "out_w": lambda h, l, d: (d, h),
     "out_b": lambda h, l, d: (d,),
 }
-# the tensors ``_Stream`` copies into its own layout, in its block's order
-_STREAM_WEIGHTS = ("enc_wx", "enc_wh", "enc_b", "dec_wx", "dec_wh", "dec_b")
+# the tensors ``_derive`` copies into the fused step's layout, in block order
+_FUSED_WEIGHTS = ("enc_wx", "enc_wh", "enc_b", "dec_wx", "dec_wh", "dec_b")
 
 
 @dataclass(kw_only=True)  # so timestep, defaulted, stays first: checkpoints keep their key order
@@ -144,6 +143,8 @@ class LstmVaeScorer:
         t, d = self.config.timestep, self.config.n_features
         if x.ndim != 3 or x.shape[0] == 0 or x.shape[1:] != (t, d):
             raise ShapeMismatchError(f"window batch shape {x.shape}, expected (N, {t}, {d})")
+        if not np.isfinite(x).all():  # before any forward: the data's fault, not the weights'
+            raise NonFiniteError("the window batch holds a NaN or inf")
         return x
 
     def _batch_of_one(self, window, noise) -> tuple[np.ndarray, np.ndarray | None]:
@@ -153,60 +154,45 @@ class LstmVaeScorer:
 
     # --------------------------------------------------------------- forward
 
-    def _lstm(self, xw: np.ndarray, t: int, wh: np.ndarray, cache: _Cache | None = None):
-        """One LSTM layer of ``t`` steps over ``xw``, the input projections plus bias.
-
-        ``xw`` holds the time-major (T, B, 4H) inputs, or the one (B, 4H) input
-        of a layer that reads the same input at every step. Returns the (T, B, H) hidden
-        states; with a ``cache`` for these B rows, every step is kept in it for ``_lstm_backward``.
-        """
+    def _lstm(self, ws: _Workspace, layer: str, xw: np.ndarray) -> np.ndarray:
+        """One LSTM layer of ``train``'s forward, kept in ``ws``'s ``layer`` cache for
+        ``_lstm_backward``: T steps over ``xw``, the input projections plus bias in (T, B, 4H), or
+        one (B, 4H) input read at every step. Returns the (T, B, H) hidden states."""
+        cache, wh = getattr(ws, layer), self.params[f"{layer}_wh"]
         b, h_n = xw.shape[-2], self.config.hidden_size
-        scale, shift = _gate_affine(b, h_n)
-        inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
-        wh_t = wh.T
-        if cache is None:  # scoring overwrites one gate buffer, c and tanh(c) at every step
-            h = np.zeros((b, h_n))
-            c = np.zeros((b, h_n))
-            tc = np.empty((b, h_n))
-            hs = np.empty((t, b, h_n))
-            a = np.empty((b, 4 * h_n))
-            gates = _gate_views(a)
-            for xw_t, h_out in zip(inputs, hs):
-                np.matmul(h, wh_t, out=a)
-                a += xw_t
-                _cell(a, gates, c, c, tc, h_out, scale, shift)
-                h = h_out
-            return hs
-        # training keeps every step's gates, gate-major, and its c and tanh(c) in the cache
+        inputs = xw if xw.ndim == 3 else itertools.repeat(xw)
         a, a_gm = cache.a, cache.a.reshape(b, 4, h_n).transpose(1, 0, 2)
         h = cache.c[0]  # zero, as h0 is
         for xw_t, g, c_prev, c, tc, h_out in zip(inputs, cache.gates, cache.c, cache.c[1:],
                                                   cache.tc, cache.h):
-            np.matmul(h, wh_t, out=a)
+            np.matmul(h, wh.T, out=a)
             a += xw_t
-            _cell(a, g, c_prev, c, tc, h_out, scale, shift, a_gm)
+            _cell(a, a_gm, g, c_prev, c, tc, h_out, *ws.affine)
             h = h_out
         return cache.h
 
-    def _losses_batch(self, x: np.ndarray, noise: np.ndarray | None, ws: _Workspace | None = None):
-        """Losses of the windows ``x``; a workspace ``ws`` sized for them keeps the forward."""
-        p = self.params
+    def _losses_batch(self, x: np.ndarray, noise: np.ndarray | None, ws: _Workspace | _Batch):
+        """Losses of the windows ``x``, run in ``ws`` sized for them: ``train``'s ``_Workspace``
+        keeps the forward for the backward, a ``_Batch`` runs it on the derived weights."""
         b, t, d = x.shape
+        batch = isinstance(ws, _Batch)
+        p = ws.weights if batch else self.params
+        lstm = ws.lstm if batch else lambda layer, xw: self._lstm(ws, layer, xw)
         # the input projections of every step in one GEMM
         x_wx = np.matmul(x.reshape(b * t, d), p["enc_wx"].T,
-                         out=None if ws is None else ws.xw.reshape(b * t, -1)).reshape(b, t, -1)
+                         out=ws.xw.reshape(b * t, -1)).reshape(b, t, -1)
         x_wx += p["enc_b"]
-        hs = self._lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"], ws and ws.enc)
-        recon, kl, tail = self._tail(x, hs[-1], noise, lambda z: self._lstm(  # z at every step
-            z @ p["dec_wx"].T + p["dec_b"], t, p["dec_wh"], ws and ws.dec))
-        return recon, kl, (hs[-1], tail)
+        h_enc = lstm("enc", x_wx.transpose(1, 0, 2))[-1].copy()  # a _Batch's decoder reuses hs
+        recon, kl, tail = self._tail(x, h_enc, noise, lambda z: lstm(  # z at every step
+            "dec", z @ p["dec_wx"].T + p["dec_b"]))
+        return recon, kl, (h_enc, tail)
 
     def _tail(self, x: np.ndarray, h_enc: np.ndarray, noise: np.ndarray | None, decode):
         """Latent, decoder and loss of the windows ``x`` from their (B, H) final encoder states.
 
         ``noise=None`` decodes the latent mean. ``decode`` runs the decoder: it maps the (B, L)
-        latents to the (T, B, H) hidden states (``_lstm``, or the stream's fused step). Raises
-        ``NonFiniteError`` on a negative KL term or a non-finite loss.
+        latents to the (T, B, H) hidden states (``_lstm`` in training, else ``_Batch.lstm`` or
+        ``_Stream.decode``). Raises ``NonFiniteError`` on a negative KL term or a non-finite loss.
         """
         p = self.params
         mu = h_enc @ p["mu_w"].T + p["mu_b"]
@@ -231,7 +217,7 @@ class LstmVaeScorer:
     def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
         """Negative ELBO of one window; ``noise=None`` decodes the latent mean."""
         x, noise = self._batch_of_one(window, noise)
-        recon, kl, _ = self._losses_batch(x, noise)
+        recon, kl, _ = self._losses_batch(x, noise, _Batch.allocate(self, 1))
         return LossValue(total=float(recon[0] + kl[0]), recon=float(recon[0]), kl=float(kl[0]))
 
     def score(self, window) -> float:
@@ -239,13 +225,13 @@ class LstmVaeScorer:
         return self.loss(window, noise=None).total
 
     def score_many(self, windows: Sequence) -> np.ndarray:
-        """Batched deterministic scores for a sequence of windows."""
+        """Batched deterministic scores for a sequence of windows, in chunks of ``_SCORE_CHUNK``."""
         x = self._stack(windows)
-        out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], _SCORE_CHUNK):
+        batch, out = _Batch.allocate(self, min(len(x), _SCORE_CHUNK)), np.empty(len(x))
+        for start in range(0, len(x), _SCORE_CHUNK):
             part = x[start : start + _SCORE_CHUNK]
-            recon, kl, _ = self._losses_batch(part, None)
-            out[start : start + part.shape[0]] = recon + kl
+            recon, kl, _ = self._losses_batch(part, None, batch.rows(len(part)))
+            out[start : start + len(part)] = recon + kl
         return out
 
     # ------------------------------------------------------------- streaming
@@ -392,11 +378,14 @@ class LstmVaeScorer:
     def train(self, windows: Sequence, epochs: int) -> "LstmVaeScorer":
         """Adam minimization of the mean loss over ``windows``.
 
-        The optimizer state is fresh for each call; parameters continue from
-        their current values, so repeated calls fine-tune the model. A diverging
-        one restores the parameters and rng state bit-exactly and re-raises
-        ``NonFiniteError``; either way the stream memo is re-primed.
+        The optimizer state is fresh for each call; parameters continue from their current
+        values, so repeated calls fine-tune the model. A diverging one restores the parameters and
+        rng state bit-exactly and re-raises ``NonFiniteError``; either way the stream memo is
+        re-primed. A non-integer ``epochs`` (``TypeError``) or a NaN or inf window
+        (``NonFiniteError``) is refused before anything changes.
         """
+        if not _is_int(epochs):
+            raise TypeError(f"epochs must be an integer, got {epochs!r}")
         if epochs <= 0:
             return self
         x = self._stack(windows)
@@ -501,46 +490,18 @@ def _carve(shapes: list[tuple[int, ...]], block=_aligned_zeros) -> list[np.ndarr
     return [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
 
 
-@functools.lru_cache(maxsize=2)  # sizes live together: a batch and its remainder
-def _gate_affine(b: int, h_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(scale, shift) that ``_cell`` applies around its ``tanh``, for B rows of 4H gates.
-
-    (B, 4H), not one broadcast row: same-shape operands take numpy's
-    single-loop fast path. Memoized, so both are read-only.
-    """
-    scale = np.full((b, 4 * h_n), 0.5)
-    scale[:, 2 * h_n : 3 * h_n] = 1.0
-    shift = 1.0 - scale
-    scale.flags.writeable = shift.flags.writeable = False
-    return scale, shift
-
-
-def _gate_views(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (input, forget, cell, output) (B, H) views of the (B, 4H) gate buffer ``a``."""
-    h_n = a.shape[1] // 4
-    return a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
-
-
-def _cell(a, gates, c_prev, c, tc, h, scale, shift, a_gm=None):
-    """One LSTM step over B rows, in place, from the (B, 4H) pre-activation ``a``.
-
-    ``a`` becomes the gates, which ``gates`` views (``_gate_views``), or, given ``a_gm``, ``a``'s
-    gate-major view, are copied into the (4, B, H) block ``gates``. The new cell state is
-    written to ``c`` (which may be ``c_prev``), its tanh to ``tc`` and the hidden state to ``h``.
-
-    All four gates come from one ``tanh`` over ``a``, by sigmoid(x) =
-    tanh(x / 2) / 2 + 1 / 2: the i, f and o slices are halved before the
-    ``tanh`` and after it, then shifted by 1/2; the g slice is left as it
-    is. Halving is exact, so each gate is bit-identical to a sigmoid or
-    tanh taken on its own slice.
-    """
-    gi, gf, gg, go = gates
+def _cell(a, a_gm, gates, c_prev, c, tc, h, scale, shift):
+    """One LSTM step of ``train``'s forward over B rows, in place, from the (B, 4H) pre-activation
+    ``a``, whose gate-major view ``a_gm`` goes to the (4, B, H) ``gates``, c to ``c``, tanh(c) to
+    ``tc`` and h to ``h``. All four gates come from one ``tanh``, by sigmoid(x) = tanh(x / 2) / 2
+    + 1 / 2: ``scale`` halves the i, f and o slices before the ``tanh`` and after it, ``shift``
+    adds 1/2. Halving is exact, so each gate is bit-identical to a sigmoid or tanh on its own."""
     a *= scale
     np.tanh(a, out=a)
     a *= scale
     a += shift
-    if a_gm is not None:
-        np.copyto(gates, a_gm)
+    np.copyto(gates, a_gm)
+    gi, gf, gg, go = gates
     np.multiply(gf, c_prev, out=c)
     np.multiply(gi, gg, out=tc)  # i * g, before tc takes tanh(c)
     c += tc
@@ -572,6 +533,7 @@ class _Workspace(NamedTuple):
     gm: np.ndarray  # (2, 4, B, H): da's leading factors and its (1 - gate) factors
     da: np.ndarray  # (2, B, 4H): da, and the decoder's sum of it over the steps
     twh: np.ndarray  # (4H, H): one step's recurrent weight-gradient product
+    affine: np.ndarray  # (2, B, 4H): ``_cell``'s (scale, shift); same-shape operands run fastest
     xw: np.ndarray  # (B, T, 4H): the encoder's input projections, on ``dec.gates``' floats
     flat: np.ndarray  # the gradient vector, laid out like ``_flat``
     grads: dict[str, np.ndarray]  # its named tensor views
@@ -580,12 +542,15 @@ class _Workspace(NamedTuple):
     def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Workspace":
         t, h_n = scorer.config.timestep, scorer.config.hidden_size
         layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
-        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n)]
+        shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n),
+                  (2, b, 4 * h_n)]
         # mapped, not malloc'd: glibc frees a block this size by raising its mmap and trim
         # thresholds, after which later workspaces sat in an untrimmed heap (+2-5 MB peak RSS)
         arrays = _carve(shapes, lambda n: np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64))
         enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
         enc.c[0] = dec.c[0] = 0.0
+        arrays[14][...] = 0.5  # affine: g * 1 + 0 around the tanh, sigmoids * 1/2 + 1/2
+        arrays[14][:, :, 2 * h_n : 3 * h_n] = np.array([1.0, 0.0])[:, None, None]
         # the input projections are spent when the encoder's loop ends, before the decoder
         # writes its first gate, so they take the decoder's gate cache (T * 4 * B * H floats)
         return cls(enc, dec, *arrays[10:], dec.gates.reshape(b, t, 4 * h_n), *scorer._vector())
@@ -594,17 +559,37 @@ class _Workspace(NamedTuple):
         """The workspace of a minibatch of ``b`` windows: views of the leading b rows."""
         enc, dec = (_Cache(*(v[..., :b, :] for v in c)) for c in (self.enc, self.dec))
         return self._replace(enc=enc, dec=dec, bh=self.bh[..., :b, :], gm=self.gm[..., :b, :],
-                             da=self.da[..., :b, :], xw=self.xw[:b])
+                             da=self.da[..., :b, :], affine=self.affine[:, :b], xw=self.xw[:b])
+
+
+def _derive(p, shapes: list[tuple[int, ...]]) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+    """``_FUSED_WEIGHTS``' copies from ``params`` ``p``, by name, then zeroed arrays of ``shapes``,
+    carved from one block. A copy has its gate rows reordered from (i, f, g, o) to (g, f, i, o)
+    and its sigmoid rows halved: halving is exact, so ``_cell``'s pass before ``tanh`` goes."""
+    h_n = p["enc_wh"].shape[1]
+    arrays = _carve([*(p[name].shape for name in _FUSED_WEIGHTS), *shapes])
+    order = np.r_[2 * h_n : 3 * h_n, h_n : 2 * h_n, :h_n, 3 * h_n : 4 * h_n]
+    for name, w in zip(_FUSED_WEIGHTS, arrays):
+        np.take(p[name], order, axis=0, out=w)
+        w[h_n:] *= 0.5
+    return dict(zip(_FUSED_WEIGHTS, arrays)), arrays[len(_FUSED_WEIGHTS) :]
+
+
+def _fused_views(z: np.ndarray, affine: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_fused_step``'s views of a state z = [c | g | f | i | o]: (g, f, i, o), (c, g), (f, i),
+    c, g, o and the (scale, shift) pair ``affine``, set from zeros: g * 1 + 0, sigmoid / 2 + 1/2."""
+    affine[0, 0] = 1.0
+    affine[:, 1:] = 0.5
+    return z[1:], z[:2], z[2:4], z[0], z[1], z[4], *affine
 
 
 def _fused_step(gates: tuple[np.ndarray, ...], pre: np.ndarray, h: np.ndarray) -> None:
-    """One LSTM step of the stream memo, in place, on a gate-major state z = [c | g | f | i | o].
+    """One LSTM step, in place, on a gate-major state z = [c | g | f | i | o] (``gates``).
 
-    ``gates`` holds ``_Stream._gates``' views of z and ``pre`` the (g, f, i, o) pre-activation,
-    its sigmoid rows already halved, so one ``tanh`` and the (scale, shift) pass give the gates
-    (sigmoid(x) = tanh(x / 2) / 2 + 1 / 2). As c sits next to g and f next to i, c * f + g * i
-    is one multiply and one add; ``h`` gets o * tanh(c). Each element takes ``_cell``'s
-    operations in its order, so the bits are ``_lstm``'s.
+    ``pre`` is the (g, f, i, o) pre-activation, its sigmoid rows already halved, so one ``tanh``
+    and the (scale, shift) pass give the gates. As c sits next to g and f next to i, c * f + g * i
+    is one multiply and one add; ``h`` gets o * tanh(c). Each element takes ``_cell``'s operations
+    in its order, so the bits are ``_cell``'s.
     """
     a, cg, fi, c, g, o, scale, shift = gates
     np.tanh(pre, out=a)
@@ -616,77 +601,91 @@ def _fused_step(gates: tuple[np.ndarray, ...], pre: np.ndarray, h: np.ndarray) -
     h *= o
 
 
+def _slot_step(gates, h: np.ndarray, wh_t, pre: np.ndarray, xw, h_out: np.ndarray) -> None:
+    """A ``_fused_step`` of B rows from states ``h`` (``h_out`` may be ``h``) and inputs ``xw``.
+    h @ wh′ᵀ is ``_lstm``'s BLAS call, slot-major into ``pre``; one copy puts ``pre`` + ``xw``
+    gate-major: a GEMM written gate-major or per gate sums in another order at some sizes."""
+    np.matmul(h, wh_t, out=pre)
+    pre += xw
+    np.copyto(gates[0], pre.reshape(len(h), 4, -1).transpose(1, 0, 2))
+    _fused_step(gates, gates[0], h_out)
+
+
+class _Batch(NamedTuple):
+    """The forward of ``score``, ``score_many`` and ``loss`` for up to B windows, one block a call:
+    the encoder, then the decoder, run ``_slot_step`` on one gate-major (5, B, H) state."""
+
+    weights: dict[str, np.ndarray]  # ``_derive``'s
+    xw: np.ndarray  # (B, T, 4H): the encoder's input projections
+    gates: tuple[np.ndarray, ...]  # ``_fused_views`` of the state
+    pre: np.ndarray  # (B, 4H): the pre-activations
+    hs: np.ndarray  # (T + 1, B, H): a layer's hidden states after h0, which is zero, never written
+
+    @classmethod
+    def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Batch":
+        t, h_n = scorer.config.timestep, scorer.config.hidden_size
+        weights, (xw, z, affine, pre, hs) = _derive(scorer.params, [
+            (b, t, 4 * h_n), (5, b, h_n), (2, 4, b, h_n), (b, 4 * h_n), (t + 1, b, h_n)])
+        return cls(weights, xw, _fused_views(z, affine), pre, hs)
+
+    def rows(self, b: int) -> "_Batch":
+        """The block of a chunk of ``b`` windows: views of the leading b rows."""
+        return self._replace(xw=self.xw[:b], gates=tuple(v[..., :b, :] for v in self.gates),
+                             pre=self.pre[:b], hs=self.hs[:, :b])
+
+    def lstm(self, layer: str, xw: np.ndarray) -> np.ndarray:
+        """The ``layer``'s (T, B, H) hidden states, as ``_lstm``'s: ``xw`` holds the time-major
+        (T, B, 4H) inputs, or one (B, 4H) input read at every step."""
+        wh_t = self.weights[f"{layer}_wh"].T
+        self.gates[3][...] = 0.0  # c0
+        inputs = xw if xw.ndim == 3 else itertools.repeat(xw)
+        for x_t, h_prev, h in zip(inputs, self.hs, self.hs[1:]):
+            _slot_step(self.gates, h_prev, wh_t, self.pre, x_t, h)
+        return self.hs[1:]
+
+
 class _Stream:
     """The scorer's memo of the last record stream it scored.
 
-    Slot ``e mod T`` holds the encoder state of the window ending at stream
-    position ``e``, for the T windows in flight; ``rows`` is a copy of the
-    T - 1 rows the window at the next ``position`` starts with.
-
-    Both recurrences run ``_fused_step``, the encoder on a (5, T, H) state and the decoder on
-    a (5, H) one. They read copies of the encoder's and the decoder's ``wx``, ``wh`` and ``b``
-    made when the memo is built, gate rows reordered from (i, f, g, o) to (g, f, i, o) and the
-    sigmoid rows halved: halving is exact, so ``_cell``'s scaling pass before ``tanh`` goes.
-    Every array (those weights, the states, the buffers, the decoder's (T, H) hidden states)
-    is a view of one zeroed float64 block and starts on a 64-byte boundary, as ``_vector``'s
-    do; no step allocates.
+    Slot ``e mod T`` holds the encoder state of the window ending at stream position ``e``, for
+    the T windows in flight; ``rows`` is a copy of the T - 1 rows the window at the next
+    ``position`` starts with. Both recurrences run ``_fused_step`` on the derived weights made
+    when the memo is built, the encoder on a (5, T, H) state and the decoder on a (5, H) one.
+    Every array is a view of the one aligned ``_derive`` block, so no step allocates.
     """
 
     def __init__(self, scorer: LstmVaeScorer, rows: np.ndarray, position: int):
-        cfg, p = scorer.config, scorer.params
+        cfg = scorer.config
         t, h_n = cfg.timestep, cfg.hidden_size
-        shapes = [(t - 1, cfg.n_features), *(p[name].shape for name in _STREAM_WEIGHTS),
-                  (5, t, h_n), (2, 4, t, h_n), (t, h_n), (t, 4 * h_n), (t, 4 * h_n),
-                  (5, h_n), (2, 4, h_n), (t, h_n), (4 * h_n,)]
-        self.rows, *weights = _carve(shapes)
-        (enc_z, enc_affine, self.enc_h, self.enc_pre, self.enc_xw,
-         dec_z, dec_affine, self.dec_h, self.dec_xw) = weights[6:]
-        order = np.r_[2 * h_n : 3 * h_n, h_n : 2 * h_n, :h_n, 3 * h_n : 4 * h_n]
-        for name, w in zip(_STREAM_WEIGHTS, weights):
-            np.take(p[name], order, axis=0, out=w)
-            w[h_n:] *= 0.5
-        enc_wx, enc_wh, self.enc_b, dec_wx, dec_wh, self.dec_b = weights[:6]
+        w, (self.rows, enc_z, enc_affine, self.enc_h, self.enc_pre, self.enc_xw,
+            dec_z, dec_affine, self.dec_h, self.dec_xw) = _derive(scorer.params, [
+                (t - 1, cfg.n_features), (5, t, h_n), (2, 4, t, h_n), (t, h_n), (t, 4 * h_n),
+                (t, 4 * h_n), (5, h_n), (2, 4, h_n), (t, h_n), (4 * h_n,)])
         self.enc_wx_t, self.enc_wh_t, self.dec_wx_t, self.dec_wh_t = (
-            w.T for w in (enc_wx, enc_wh, dec_wx, dec_wh))
-        for affine in (enc_affine, dec_affine):  # after the tanh: g * 1 + 0, sigmoids * 1/2 + 1/2
-            affine[0, 0] = 1.0
-            affine[:, 1:] = 0.5
-        self.enc_gates = self._gates(enc_z, enc_affine)
-        self.dec_gates = self._gates(dec_z, dec_affine)
+            w[name].T for name in ("enc_wx", "enc_wh", "dec_wx", "dec_wh"))
+        self.enc_b, self.dec_b = w["enc_b"], w["dec_b"]
+        self.enc_gates = _fused_views(enc_z, enc_affine)
+        self.dec_gates = _fused_views(dec_z, dec_affine)
         self.rows[...] = rows
         self.position = position
 
-    @staticmethod
-    def _gates(z: np.ndarray, affine: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``_fused_step``'s views of the state ``z``: (g, f, i, o), (c, g), (f, i), c, g and o,
-        then the (scale, shift) pair ``affine``."""
-        return z[1:], z[:2], z[2:4], z[0], z[1], z[4], *affine
-
     def advance(self, row: np.ndarray, position: int) -> None:
-        """Feed the row at stream ``position`` to every window in flight in one T-row step.
-
-        The slot of the window that starts with this row, the one ending at
-        ``position + T - 1``, is zeroed first; it last held the window that
-        ended at ``position - 1``. The (T, H) @ (H, 4H) product is ``_lstm``'s
-        BLAS call, slot-major, and one copy puts it gate-major: a GEMM written
-        gate-major or per gate sums in another order at some sizes (T=30, H=63).
+        """Feed the row at stream ``position`` to every window in flight in one T-row
+        ``_slot_step``. The slot of the window that starts with this row, the one ending at
+        ``position + T - 1``, is zeroed first; it last held the window ending at ``position - 1``.
         """
-        h, pre, xw, gates = self.enc_h, self.enc_pre, self.enc_xw, self.enc_gates
+        h, xw = self.enc_h, self.enc_xw
         slot = (position - 1) % len(h)
         h[slot] = 0.0
-        gates[3][slot] = 0.0  # c
-        np.matmul(h, self.enc_wh_t, out=pre)
+        self.enc_gates[3][slot] = 0.0  # c
         np.dot(row, self.enc_wx_t, out=xw[0])
         xw[0] += self.enc_b
         xw[1:] = xw[0]  # a broadcast add would allocate numpy's buffer on every call
-        pre += xw
-        np.copyto(gates[0], pre.reshape(len(h), 4, -1).transpose(1, 0, 2))
-        _fused_step(gates, gates[0], h)
+        _slot_step(self.enc_gates, h, self.enc_wh_t, self.enc_pre, xw, h)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """The decoder's (T, 1, H) hidden states for the (1, L) latent ``z`` (``_tail``'s
-        ``decode``). Step 1's pre-activation is the input projection alone, as h0 = 0; a step
-        makes 9 passes, the matvec and the input add among them, where ``_lstm`` makes 11."""
+        ``decode``): ``np.dot`` for the matvec, and step 1 reads the input projection, as h0 = 0."""
         gates, xw, hs, wh_t = self.dec_gates, self.dec_xw, self.dec_h, self.dec_wh_t
         a = gates[0].reshape(-1)
         np.dot(z[0], self.dec_wx_t, out=xw)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from anomstream.errors import CorruptCheckpointError, NonFiniteError, ShapeMismatchError
 from anomstream.ingest import windows
-from anomstream.scorer import (LstmVaeScorer, ScorerConfig, _cell, _gate_affine, _gate_views,
-                               _Workspace, reparameterize)
+from anomstream import scorer as scorer_module
+from anomstream.scorer import _SCORE_CHUNK, LstmVaeScorer, ScorerConfig, _Workspace, reparameterize
 
 TOY = dict(timestep=3, n_features=2, hidden_size=8, latent_size=4)
 
@@ -29,6 +29,72 @@ def zero_scorer(**overrides):
     for k in s.params:
         s.params[k][...] = 0.0
     return s
+
+
+# The scoring forward before it ran the fused step, as a reference: one (B, 4H) gate buffer,
+# its four (B, H) gate views and a (B, 4H) (scale, shift) pair around one tanh per step.
+
+def gate_affine(b, h_n):
+    """(scale, shift) around the gates' tanh for B rows: sigmoid(x) = tanh(x / 2) / 2 + 1 / 2."""
+    scale = np.full((b, 4 * h_n), 0.5)
+    scale[:, 2 * h_n : 3 * h_n] = 1.0
+    return scale, 1.0 - scale
+
+
+def gate_views(a):
+    """The (input, forget, cell, output) (B, H) views of the (B, 4H) gate buffer ``a``."""
+    h_n = a.shape[1] // 4
+    return a[:, :h_n], a[:, h_n : 2 * h_n], a[:, 2 * h_n : 3 * h_n], a[:, 3 * h_n :]
+
+
+def view_cell(a, gates, c_prev, c, tc, h, scale, shift):
+    """One LSTM step over B rows, in place: ``a`` becomes the gates that ``gates`` views."""
+    gi, gf, gg, go = gates
+    a *= scale
+    np.tanh(a, out=a)
+    a *= scale
+    a += shift
+    np.multiply(gf, c_prev, out=c)
+    np.multiply(gi, gg, out=tc)
+    c += tc
+    np.tanh(c, out=tc)
+    np.multiply(go, tc, out=h)
+
+
+def view_lstm(xw, t, wh):
+    """The (T, B, H) hidden states of one layer over the (T, B, 4H) inputs ``xw``, or its
+    constant (B, 4H) input; c and tanh(c) are overwritten at every step."""
+    b, h_n = xw.shape[-2], wh.shape[1]
+    scale, shift = gate_affine(b, h_n)
+    inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
+    h, c, tc, a = np.zeros((b, h_n)), np.zeros((b, h_n)), np.empty((b, h_n)), np.empty((b, 4 * h_n))
+    hs, gates = np.empty((t, b, h_n)), gate_views(a)
+    for xw_t, h_out in zip(inputs, hs):
+        np.matmul(h, wh.T, out=a)
+        a += xw_t
+        view_cell(a, gates, c, c, tc, h_out, scale, shift)
+        h = h_out
+    return hs
+
+
+def view_losses(scorer, x, noise):
+    """The (recon, kl) losses of the windows ``x`` on ``view_lstm``; ``noise=None`` decodes mu."""
+    p = scorer.params
+    b, t, d = x.shape
+    x_wx = np.matmul(x.reshape(b * t, d), p["enc_wx"].T).reshape(b, t, -1)
+    x_wx += p["enc_b"]
+    hs = view_lstm(x_wx.transpose(1, 0, 2), t, p["enc_wh"])
+    recon, kl, _ = scorer._tail(x, hs[-1], noise, lambda z: view_lstm(
+        z @ p["dec_wx"].T + p["dec_b"], t, p["dec_wh"]))
+    return recon, kl
+
+
+def view_score_many(scorer, x):
+    out = np.empty(len(x))
+    for start in range(0, len(x), _SCORE_CHUNK):
+        recon, kl = view_losses(scorer, x[start : start + _SCORE_CHUNK], None)
+        out[start : start + len(recon)] = recon + kl
+    return out
 
 
 class TestInit:
@@ -179,23 +245,93 @@ class TestForward:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_lstm_branches_and_input_forms_agree_bitwise(self, t, b, spare, h, seed):
-        # the cached (training) and no-cache (scoring) loops run the same ops, the
-        # cached one also on the leading rows of a larger workspace, and a constant
+        # the cached (training) loop runs the ops of the no-cache loop scoring once ran
+        # (view_lstm), also on the leading rows of a larger workspace, and a constant
         # (B, 4H) input is read as its (T, B, 4H) broadcast would be
         s = toy_scorer(timestep=t, hidden_size=h)
-        cache = _Workspace.allocate(s, b + spare).rows(b).enc
+        ws = _Workspace.allocate(s, b + spare).rows(b)
         rng = np.random.default_rng(seed)
         wh = rng.normal(size=(4 * h, h))
+        s.params["enc_wh"][...] = wh
         per_step, constant = rng.normal(size=(t, b, 4 * h)), rng.normal(size=(b, 4 * h))
         inputs = {"per_step": per_step, "constant": constant,
                   "broadcast": np.broadcast_to(constant, (t, b, 4 * h))}
         hidden = {}
         for name, xw in inputs.items():
-            cached = s._lstm(xw, t, wh, cache)
-            hidden[name] = s._lstm(xw, t, wh)
-            assert cached.shape == (t, b, h) and np.shares_memory(cached, cache.h)
+            cached = s._lstm(ws, "enc", xw)
+            hidden[name] = view_lstm(xw, t, wh)
+            assert cached.shape == (t, b, h) and np.shares_memory(cached, ws.enc.h)
             assert cached.tobytes() == hidden[name].tobytes(), name
         assert hidden["constant"].tobytes() == hidden["broadcast"].tobytes()
+
+
+class TestBatchForward:
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(1, 6), st.integers(1, 40),
+           st.sampled_from([1, 127, 128, 129, 257]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_view_reference_bitwise(self, t, h, l, d, n, seed):
+        # score_many in chunks, with a remainder on the leading rows of its block, score and
+        # loss with noise run the fused step on derived weights; the bits are view_lstm's
+        s = LstmVaeScorer(ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l,
+                                       seed=seed))
+        rng = np.random.default_rng(seed)
+        x, noise = rng.normal(size=(n, t, d)), rng.standard_normal(l)
+        assert s.score_many(x).tobytes() == view_score_many(s, x).tobytes()
+        recon, kl = view_losses(s, x[-1:], noise[None])
+        assert s.loss(x[-1], noise) == scorer_module.LossValue(
+            float(recon[0] + kl[0]), float(recon[0]), float(kl[0]))
+        assert s.score(x[0]) == view_score_many(s, x[:1])[0]
+
+    @pytest.mark.parametrize("h", [63, 64])
+    def test_matches_the_view_reference_after_training(self, h):
+        # the default geometry, and H=63, where a gate-major GEMM changes bits
+        s = LstmVaeScorer(ScorerConfig(n_features=8, hidden_size=h, seed=5))
+        rng = np.random.default_rng(h)
+        rows = rng.uniform(size=(286, 8))
+        s.train(windows(rows[:80], 30), epochs=1)
+        x, noise = windows(rows, 30), rng.standard_normal(32)  # 257 windows
+        assert s.score_many(x).tobytes() == view_score_many(s, x).tobytes()
+        recon, kl = view_losses(s, x[:1], noise[None])
+        value = s.loss(x[0], noise)
+        assert (value.recon, value.kl) == (recon[0], kl[0])
+
+    def test_scoring_never_runs_the_training_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_cell ran outside train")
+
+        s = toy_scorer(seed=3)
+        w = np.random.default_rng(0).normal(size=(3, 2))
+        monkeypatch.setattr(scorer_module, "_cell", refuse)
+        s.score(w), s.loss(w, np.ones(4)), s.score_many([w, w]), s.score_stream(w, 5)
+        with pytest.raises(AssertionError, match="outside train"):
+            s.train([w], epochs=1)
+
+
+class TestNonFiniteWindow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_blames_the_window_and_changes_nothing(self, bad):
+        # a NaN or inf in a window is the data's fault, not the weights': each entry point
+        # names the window batch before any forward, memo change or rng draw, NumPy warns of
+        # nothing, and the stream then goes on without a re-prime
+        rows = np.random.default_rng(2).normal(size=(12, 2))
+        s, reference = toy_scorer(seed=6), toy_scorer(seed=6)
+        stream_losses(s, rows[:6], 0)
+        memo, flat, rng_state = s._stream, s._flat.copy(), s.rng.bit_generator.state
+        window = rows[4:7].copy()
+        window[-1, 1] = bad
+        batch = np.stack([rows[:3], window])
+        calls = [lambda: s.score(window), lambda: s.loss(window, np.ones(4)),
+                 lambda: s.score_many(batch), lambda: s.score_stream(window, 6),
+                 lambda: s.train(batch, epochs=2), lambda: s.loss_and_gradients(window)]
+        for call in calls:
+            with pytest.raises(NonFiniteError, match="window batch"):
+                call()
+            assert s._stream is memo and s._flat.tobytes() == flat.tobytes()
+            assert s.rng.bit_generator.state == rng_state
+        through, _ = stream_losses(reference, rows, 0)
+        got, primes = stream_losses(s, rows[4:], 4)
+        assert primes == [] and got.tobytes() == through[4:].tobytes()
 
 
 class TestReparameterize:
@@ -428,7 +564,7 @@ class TestStreaming:
 
 class CellStream:
     """The stream memo before the derived weights: each slot's (h, c) and one (T, 4H) gate
-    buffer for ``_cell``, each array allocated on its own."""
+    buffer for ``view_cell``, each array allocated on its own."""
 
     def __init__(self, config, rows, position):
         t, h_n = config.timestep, config.hidden_size
@@ -438,14 +574,14 @@ class CellStream:
         self.c = np.zeros((t, h_n))
         self.tc = np.empty((t, h_n))
         self.a = np.empty((t, 4 * h_n))
-        self.gates = _gate_views(self.a)
+        self.gates = gate_views(self.a)
         self.xw = np.empty(4 * h_n)
-        self.affine = _gate_affine(t, h_n)
+        self.affine = gate_affine(t, h_n)
 
 
 class CellStreaming(LstmVaeScorer):
     """The streaming path before the fused step, as a reference: the encoder's T-row
-    step runs ``_cell`` on ``params`` as they are, and the decoder is ``_lstm`` at B = 1."""
+    step runs ``view_cell`` on ``params`` as they are, and the decoder is ``view_lstm`` at B = 1."""
 
     def _advance(self, stream, row, position):
         p = self.params
@@ -456,7 +592,7 @@ class CellStreaming(LstmVaeScorer):
         np.matmul(row, p["enc_wx"].T, out=stream.xw)
         stream.xw += p["enc_b"]
         stream.a += stream.xw
-        _cell(stream.a, stream.gates, stream.c, stream.c, stream.tc, stream.h, *stream.affine)
+        view_cell(stream.a, stream.gates, stream.c, stream.c, stream.tc, stream.h, *stream.affine)
 
     def _prime(self, rows, position):
         stream = CellStream(self.config, rows, position)
@@ -473,7 +609,7 @@ class CellStreaming(LstmVaeScorer):
         self._advance(stream, x[0, -1], position)
         h_enc = stream.h[position % self.config.timestep][None]
         p, t = self.params, self.config.timestep
-        recon, kl, _ = self._tail(x, h_enc, None, lambda z: self._lstm(
+        recon, kl, _ = self._tail(x, h_enc, None, lambda z: view_lstm(
             z @ p["dec_wx"].T + p["dec_b"], t, p["dec_wh"]))
         stream.rows[...] = x[0, 1:]
         stream.position = position + 1
@@ -584,11 +720,10 @@ class PerStepBptt(LstmVaeScorer):
     workspace's vector all the same, so only the BPTT loops differ.
     """
 
-    def _lstm(self, xw, t, wh, cache=None):
-        if cache is None:
-            return super()._lstm(xw, t, wh)
+    def _lstm(self, ws, layer, xw):
+        t, wh = self.config.timestep, self.params[f"{layer}_wh"]
         b, h_n = xw.shape[-2], self.config.hidden_size
-        scale, shift = _gate_affine(b, h_n)
+        scale, shift = gate_affine(b, h_n)
         inputs = xw if xw.ndim == 3 else itertools.repeat(xw, t)
         h = np.zeros((b, h_n))
         c = np.zeros((b, h_n))
@@ -597,13 +732,12 @@ class PerStepBptt(LstmVaeScorer):
         for xw_t, h_out in zip(inputs, hs):
             a = np.matmul(h, wh.T)
             a += xw_t
-            gates = _gate_views(a)
+            gates = gate_views(a)
             c_next, tc = np.empty((b, h_n)), np.empty((b, h_n))
-            _cell(a, gates, c, c_next, tc, h_out, scale, shift)
+            view_cell(a, gates, c, c_next, tc, h_out, scale, shift)
             steps.append((*gates, c, h, tc))
             c, h = c_next, h_out
-        self.steps = {**getattr(self, "steps", {}),
-                      "enc" if wh is self.params["enc_wh"] else "dec": steps}
+        self.steps = {**getattr(self, "steps", {}), layer: steps}
         return hs
 
     def _lstm_backward(self, ws, layer, x, dh_steps, dh_last):
@@ -684,7 +818,7 @@ class TestWorkspace:
             assert xw.shape == (rows, t, 4 * h) and xw.flags.c_contiguous
             assert xw.ctypes.data == ws.dec.gates.ctypes.data
             assert np.shares_memory(xw, ws.dec.gates)
-        rest = [*ws.enc, *ws.dec, ws.bh, ws.gm, ws.da, ws.twh]
+        rest = [*ws.enc, *ws.dec, ws.bh, ws.gm, ws.da, ws.twh, ws.affine]
         assert all(v.base is mapped for v in rest)
         assert mapped.size == sum(-(-v.size // 8) * 8 for v in rest)  # whole 64-byte lines
         assert len(mapped.base) == 8 * mapped.size
@@ -695,7 +829,7 @@ class TestWorkspace:
         cfg = ScorerConfig(timestep=10, n_features=4, hidden_size=16, latent_size=4,
                            batch_size=32, seed=5)
         x = np.random.default_rng(6).uniform(size=(40, 10, 4))
-        LstmVaeScorer(cfg).train(x, epochs=1)  # fills the module's memos first
+        LstmVaeScorer(cfg).train(x, epochs=1)  # warms up first
         s, buffers, allocate = LstmVaeScorer(cfg), [], _Workspace.allocate
 
         def spy(scorer, b):
@@ -748,6 +882,21 @@ class TestTraining:
         s.train([np.zeros((3, 2))] * 4, epochs=0)
         for k in before:
             assert np.array_equal(before[k], s.params[k])
+
+    @pytest.mark.parametrize("epochs", [True, 1.5, 2.0, "2", None])
+    def test_non_integer_epochs_refused_before_anything_changes(self, epochs):
+        rows = np.random.default_rng(3).normal(size=(8, 2))
+        s = toy_scorer(seed=2)
+        stream_losses(s, rows, 0)
+        memo, flat, rng_state = s._stream, s._flat.copy(), s.rng.bit_generator.state
+        with pytest.raises(TypeError, match="epochs"):
+            s.train(windows(rows, 3), epochs)
+        assert s._stream is memo and s._flat.tobytes() == flat.tobytes()
+        assert s.rng.bit_generator.state == rng_state
+        twin = toy_scorer(seed=2)
+        for scorer, count in ((s, np.int64(2)), (twin, 2)):  # a NumPy integer is a count
+            scorer.train(windows(rows, 3), count)
+        assert s._flat.tobytes() == twin._flat.tobytes()
 
     def test_identical_windows_converge(self):
         rng = np.random.default_rng(100)
