@@ -182,7 +182,7 @@ class LstmVaeScorer:
         x_wx = np.matmul(x.reshape(b * t, d), p["enc_wx"].T,
                          out=ws.xw.reshape(b * t, -1)).reshape(b, t, -1)
         x_wx += p["enc_b"]
-        h_enc = lstm("enc", x_wx.transpose(1, 0, 2))[-1].copy()  # a _Batch's decoder reuses hs
+        h_enc = lstm("enc", x_wx.transpose(1, 0, 2))[-1].copy()  # a _Batch's decoder overwrites hs
         recon, kl, tail = self._tail(x, h_enc, noise, lambda z: lstm(  # z at every step
             "dec", z @ p["dec_wx"].T + p["dec_b"]))
         return recon, kl, (h_enc, tail)
@@ -601,7 +601,7 @@ def _fused_step(gates: tuple[np.ndarray, ...], pre: np.ndarray, h: np.ndarray) -
     h *= o
 
 
-def _slot_step(gates, h: np.ndarray, wh_t, pre: np.ndarray, xw, h_out: np.ndarray) -> None:
+def _slot_step(gates, h, wh_t, pre, xw, h_out) -> None:
     """A ``_fused_step`` of B rows from states ``h`` (``h_out`` may be ``h``) and inputs ``xw``.
     h @ wh′ᵀ is ``_lstm``'s BLAS call, slot-major into ``pre``; one copy puts ``pre`` + ``xw``
     gate-major: a GEMM written gate-major or per gate sums in another order at some sizes."""
