@@ -20,8 +20,6 @@ import json
 import logging
 import math
 import sys
-import types
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -67,58 +65,48 @@ def _fmt_float(x) -> str:
 # --------------------------------------------------------------------- config
 
 
-def _fits(value, tp) -> bool:
-    """Whether the JSON ``value`` is a ``tp``: an int is a float, a bool is neither."""
-    if isinstance(tp, types.UnionType):
-        return any(_fits(value, t) for t in typing.get_args(tp))
-    if isinstance(value, bool):
-        return tp is bool
-    if tp is float:  # finite, and an int too large for a float is not one
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if tp is int:  # numpy takes a geometry or a count only as an int64
-        return isinstance(value, int) and -(2**63) <= value < 2**63
-    return isinstance(value, tp)
-
-
-def _checked(section, where: str, hints: dict) -> dict:
-    """``section`` if it is a JSON object whose keys are in ``hints`` and values of their type."""
+def _checked(section, where: str, keys, kind=object) -> dict:
+    """``section`` if it is a JSON object whose keys are in ``keys`` and values ``kind``s."""
     if not isinstance(section, dict):
         raise UsageError(f"{where} must be an object, got {section!r}")
     for key, value in section.items():
-        if key not in hints:
-            raise UsageError(f"unknown key {key!r} in {where}; it takes {list(hints)}")
-        if not _fits(value, hints[key]):
-            name = getattr(hints[key], "__name__", hints[key])
-            raise UsageError(f"{where}.{key} must be {name}, got {value!r}")
+        if key not in keys:
+            raise UsageError(f"unknown key {key!r} in {where}; it takes {list(keys)}")
+        if not isinstance(value, kind):
+            raise UsageError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
     return section
 
 
 def _build(cls, section, where: str, **derived):
     """``cls`` from its JSON ``section`` and the ``derived`` fields; defaults are the class's."""
-    hints = typing.get_type_hints(cls)
-    settable = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in derived}
+    settable = [f.name for f in dataclasses.fields(cls) if f.name not in derived]
     try:
         return cls(**_checked(section, where, settable), **derived)
-    except ValueError as exc:  # a range check in __post_init__
+    except ValueError as exc:  # a type or range check in __post_init__
         raise UsageError(f"{where}: {exc}") from None
+
+
+def _number(value) -> bool:  # a finite JSON number; a bool is none, nor an int past any float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _resolve_split(split) -> dict:
     """``stream.split`` with its defaults filled in, checked before any record is read."""
-    hints = {"kind": str, "first": float | list, "train": float, "test": float | list}
     split = {"kind": "fractions", "first": 0.01, "train": 0.69, "test": 0.30,
-             **_checked(split, "stream.split", hints)}
+             **_checked(split, "stream.split", ("kind", "first", "train", "test"))}
     if split["kind"] == "fractions":
-        if not all(_fits(split[key], float) for key in ("first", "test")):
+        if not all(_number(split[key]) for key in ("first", "train", "test")):
             raise UsageError("a fractions split needs finite numbers 'first', 'train' and 'test'")
         _split_records([], split)  # no records: only split_fractions' own checks run
     elif split["kind"] == "days":
         # the fraction defaults are filled in too: a missing list reads as a number
         days = split["first"], split["test"]
-        if not all(isinstance(d, list) and all(isinstance(day, str) for day in d) for d in days):
-            raise UsageError("a days split needs 'first' and 'test' lists of dates")
+        if not _number(split["train"]) or not all(
+                isinstance(d, list) and all(isinstance(day, str) for day in d) for d in days):
+            raise UsageError("a days split needs 'first' and 'test' lists of dates, and a "
+                             "number 'train' if given")
     else:
-        raise UsageError(f"unknown split kind: {split['kind']!r}")
+        raise UsageError(f"stream.split.kind must be 'fractions' or 'days', got {split['kind']!r}")
     return split
 
 
@@ -154,7 +142,7 @@ def _load_run_config(args) -> _RunConfig:
         if not path.is_file():
             raise UsageError(f"config file not found or not a file: {path}")
         doc = json.loads(path.read_text(encoding="utf-8"))
-    doc = _checked(doc, "config", dict.fromkeys(("engine", "scorer", "forest", "stream"), dict))
+    doc = _checked(doc, "config", ("engine", "scorer", "forest", "stream"), dict)
     flags = {k: v for k, v in (("seed", args.seed), ("mode", args.mode)) if v is not None}
     engine = _build(engine_mod.EngineConfig, {**doc.get("engine", {}), **flags}, "engine",
                     scorer=None, forest=_build(ForestConfig, doc.get("forest", {}), "forest"))
@@ -162,9 +150,8 @@ def _load_run_config(args) -> _RunConfig:
     scorer = {"seed": engine.seed, **doc.get("scorer", {})}
     engine.scorer = _build(ScorerConfig, scorer, "scorer", n_features=1)
 
-    stream = _checked(doc.get("stream", {}), "stream",
-                      {"source": str, "split": dict, "synthetic": dict, "csv": dict})
-    csv_doc = dict(_checked(stream.get("csv", {}), "stream.csv", {"path": str, "schema": str}))
+    stream = _checked(doc.get("stream", {}), "stream", ("source", "split", "synthetic", "csv"))
+    csv_doc = dict(_checked(stream.get("csv", {}), "stream.csv", ("path", "schema"), str))
     csv_doc.update((key, flag) for key, flag in (("path", args.csv), ("schema", args.schema)) if flag)
     source = "csv" if args.csv else stream.get("source", "synthetic")
     if source not in ("synthetic", "csv"):

@@ -85,12 +85,12 @@ def _is_int(value) -> bool:  # a NumPy integer is one, a bool or a float is not
 
 
 def _store_ints(config, names: tuple[str, ...]) -> tuple[int, ...]:
-    """The ``names`` fields of ``config``, each checked by ``_is_int`` and stored back as an int
-    (JSON writes no NumPy integer); the first that is no integer raises ``ValueError``."""
+    """The ``names`` fields of ``config``, each stored back as an int (JSON writes no NumPy
+    integer); the first that ``_is_int`` refuses or that is no int64 raises ``ValueError``."""
     for name in names:
         value = getattr(config, name)
-        if not _is_int(value):
-            raise ValueError(f"{', '.join(names)} must be integers, got {name}={value!r}")
+        if not (_is_int(value) and -(2**63) <= value < 2**63):
+            raise ValueError(f"{', '.join(names)} must be int64 integers, got {name}={value!r}")
         setattr(config, name, int(value))
     return tuple(getattr(config, name) for name in names)
 

@@ -38,10 +38,10 @@ class ForestConfig:
         if min(counts) < 1 or self.min_samples_split < 2:
             raise ValueError(f"n_estimators and max_depth must be >= 1, "
                              f"min_samples_split >= 2, got {counts}")
-        if _is_int(self.max_features) and self.max_features >= 1:
+        if _is_int(self.max_features) and 1 <= self.max_features < 2**63:
             self.max_features = int(self.max_features)
         elif self.max_features not in ("sqrt", "all"):
-            raise ValueError(f"max_features must be 'sqrt', 'all' or an int >= 1, "
+            raise ValueError(f"max_features must be 'sqrt', 'all' or an int64 >= 1, "
                              f"got {self.max_features!r}")
 
     def features_per_split(self, n_features: int) -> int:

@@ -212,6 +212,7 @@ class TestConfig:
             {"engine": {"seed": -1}},
             {"scorer": {"seed": -2}},
             {"stream": {"synthetic": {"seed": -3}}},
+            {"engine": {"buffer_capacity": 2**63}},
         ],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, doc):
@@ -251,7 +252,8 @@ class TestConfig:
             cfg = Path(tmp) / "config.json"
             cfg.write_text(json.dumps(doc))
             assert main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "x")]) == 1
-        assert stderr.getvalue().startswith("usage error:")
+        err = stderr.getvalue()
+        assert err.startswith("usage error:") and path[-1] in err, (path, err)
 
     def test_run_config_round_trip(self, run_dir, tmp_path):
         doc = json.loads((run_dir / "run_config.json").read_text())

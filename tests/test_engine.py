@@ -145,6 +145,33 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number|got {name}="):
             cls(**given.get(cls, {}), **fields)
 
+    @pytest.mark.parametrize(
+        "cls, fields, name",
+        [
+            (EngineConfig, {"buffer_capacity": 2**63}, "buffer_capacity"),
+            (ForestConfig, {"n_estimators": 2**64}, "n_estimators"),
+            (ForestConfig, {"max_features": 2**63}, "max_features"),
+            (ScorerConfig, {"batch_size": 2**63}, "batch_size"),
+            (SyntheticConfig, {"n_records": 2**63}, "n_records"),
+        ],
+        ids=["engine-capacity", "forest-estimators", "forest-max-features", "scorer-batch",
+             "synthetic-records"],
+    )
+    def test_int_outside_int64_rejected(self, cls, fields, name):
+        # NumPy takes a size, a count or a seed only as an int64, so one past it fails here,
+        # not later in deque(maxlen=...) or SeedSequence.spawn
+        scorer = {"timestep": 2, "n_features": 2}
+        given = {ScorerConfig: scorer, EngineConfig: {"scorer": ScorerConfig(**scorer)}}
+        with pytest.raises(ValueError, match=name):
+            cls(**given.get(cls, {}), **fields)
+
+    def test_largest_int64_seed_accepted(self):
+        top = 2**63 - 1
+        scorer = ScorerConfig(timestep=2, n_features=2, seed=top)
+        synthetic = SyntheticConfig(n_records=5, n_features=2, seed=top)
+        assert EngineConfig(scorer=scorer, seed=top).seed == scorer.seed == synthetic.seed == top
+        assert len(synthetic_stream(synthetic)) == 5
+
     def test_whole_number_floats_stored_as_float(self):
         config = SyntheticConfig(anomaly_rate=0, normal_mean=np.float32(2.5), drift_start=1)
         assert (config.anomaly_rate, config.normal_mean, config.drift_start) == (0.0, 2.5, 1.0)

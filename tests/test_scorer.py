@@ -333,6 +333,27 @@ class TestNonFiniteWindow:
         got, primes = stream_losses(s, rows[4:], 4)
         assert primes == [] and got.tobytes() == through[4:].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), place=st.sampled_from(["first", "interior", "last"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), col=st.integers(0, 1),
+           data=st.data())
+    def test_a_bad_row_of_a_window_view_is_refused(self, n, place, bad, col, data):
+        # a window view is checked on its N + T - 1 rows, each once: a bad value in any row,
+        # the first and the last included, is still refused before anything changes
+        rows = np.random.default_rng(n).normal(size=(n + 2, 2))
+        row = {"first": 0, "last": n + 1}.get(place)
+        row = data.draw(st.integers(1, n)) if row is None else row
+        rows[row, col] = bad
+        view = windows(rows, 3)
+        assert view.strides[0] == view.strides[1] and view.base is not None
+        s = toy_scorer(seed=6)
+        flat, rng_state = s._flat.copy(), s.rng.bit_generator.state
+        for call in (lambda: s.score_many(view), lambda: s.train(view, epochs=1)):
+            with pytest.raises(NonFiniteError, match="window batch"):
+                call()
+            assert s._flat.tobytes() == flat.tobytes()
+            assert s.rng.bit_generator.state == rng_state
+
 
 class TestReparameterize:
     def test_zero_noise_returns_mu(self):
