@@ -8,12 +8,8 @@ class AnomstreamError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveSampleError(AnomstreamError):
-    """A sample contains values <= 0 where strictly positive data is required."""
-
-
 class DegenerateSampleError(AnomstreamError):
-    """Sample too small or (near-)constant; no meaningful fit exists."""
+    """Sample too small, (near-)constant or overflowing; no meaningful fit or finite threshold."""
 
 
 class InvalidPercentileError(AnomstreamError):

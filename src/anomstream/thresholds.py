@@ -9,7 +9,7 @@ inverted at a percentile to produce a decision threshold.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
@@ -17,12 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DegenerateSampleError,
-    EmptyBufferError,
-    InvalidPercentileError,
-    NonPositiveSampleError,
-)
+from .errors import DegenerateSampleError, EmptyBufferError, InvalidPercentileError
 
 _SQRT2 = math.sqrt(2.0)
 _VARIANCE_FLOOR = 1e-12
@@ -76,18 +71,12 @@ class ThresholdPair:
             raise ValueError("t2 must be finite when present")
 
 
-def _sorted_sample(losses) -> tuple[np.ndarray, np.ndarray]:
-    """The sample as a flat float array and its sorted copy; needs at least 2 values."""
-    x = np.asarray(losses, dtype=float).ravel()
-    if x.size < 2:
-        raise DegenerateSampleError(f"need at least 2 values, got {x.size}")
-    return x, np.sort(x)
-
-
 def _mean_and_population_std(x: np.ndarray) -> tuple[float, float]:
-    """Mean and divisor-n standard deviation; rejects a near-constant sample."""
+    """Mean and divisor-n standard deviation; rejects a near-constant or overflowing sample."""
     mean = float(np.mean(x))
     var = float(np.mean((x - mean) ** 2))
+    if not math.isfinite(var):  # also when the mean overflowed
+        raise DegenerateSampleError(f"sample moments are not finite (variance {var})")
     if var < _VARIANCE_FLOOR:
         raise DegenerateSampleError(f"sample variance {var:.3e} below {_VARIANCE_FLOOR}")
     return mean, math.sqrt(var)
@@ -106,39 +95,10 @@ def _fit(
     return replace(fit, gof=_ks_sorted(xs, fit))
 
 
-def fit_lognormal_mle(losses) -> DistributionFit:
-    """Closed-form maximum-likelihood lognormal fit.
-
-    location is the mean of the log-values and scale the divisor-n standard
-    deviation of the log-values.
-    """
-    x, xs = _sorted_sample(losses)
-    if xs[0] <= 0.0:
-        raise NonPositiveSampleError("lognormal requires strictly positive values")
-    return _fit(DistributionFamily.LOGNORMAL, xs, *_mean_and_population_std(np.log(x)))
-
-
-def fit_normal_mle(losses) -> DistributionFit:
-    """Closed-form maximum-likelihood normal fit (divisor-n variance)."""
-    x, xs = _sorted_sample(losses)
-    return _fit(DistributionFamily.NORMAL, xs, *_mean_and_population_std(x))
-
-
-def fit_logistic_mom(losses) -> DistributionFit:
-    """Method-of-moments logistic fit: gamma = sqrt(3 * var) / pi."""
-    x, xs = _sorted_sample(losses)
-    return _fit(DistributionFamily.LOGISTIC, xs, *_mean_and_population_std(x))
-
-
 def std_normal_cdf(z):
-    """Standard normal CDF, exact to double precision via erf."""
+    """Standard normal CDF, exact to double precision via erf; an array of ``z``'s shape."""
     arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        return 0.5 * (1.0 + math.erf(float(arr) / _SQRT2))
-    flat = arr.ravel()
-    out = np.fromiter(
-        (math.erf(v / _SQRT2) for v in flat), dtype=float, count=flat.size
-    )
+    out = np.fromiter((math.erf(v / _SQRT2) for v in arr.ravel()), dtype=float, count=arr.size)
     return (0.5 * (1.0 + out)).reshape(arr.shape)
 
 
@@ -169,60 +129,66 @@ def _ks_sorted(xs: np.ndarray, fit: DistributionFit) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
 
 
-def fit_best_distribution(losses) -> DistributionFit:
-    """Fit every applicable family and return the one with the smallest KS.
-
-    Candidates in order lognormal, normal, logistic; a KS tie resolves to the
-    earlier one. The lognormal is skipped (not clamped) when any value is
-    <= 0, and a family whose moments are degenerate is skipped.
+def fit_distributions(losses) -> list[DistributionFit]:
+    """Every applicable family's closed-form fit, smallest KS first (a stable sort, so a KS
+    tie keeps the order lognormal, normal, logistic): maximum likelihood for the lognormal
+    (of the log-values) and the normal, moments for the logistic (gamma = sqrt(3 * var) / pi).
+    No lognormal when a value is <= 0 (it is not clamped), and no family whose moments are
+    degenerate or not finite; DegenerateSampleError when none is left or n < 2.
     """
-    x, xs = _sorted_sample(losses)
+    x = np.asarray(losses, dtype=float).ravel()
+    if x.size < 2:
+        raise DegenerateSampleError(f"need at least 2 values, got {x.size}")
+    xs = np.sort(x)
+    lo, hi = float(xs[0]), float(xs[-1])
     fits = []
-    if xs[0] > 0.0:
+    if lo > 0.0:  # log-values lie within ±745, so their moments cannot overflow
         with suppress(DegenerateSampleError):
             log_moments = _mean_and_population_std(np.log(x))
             fits.append(_fit(DistributionFamily.LOGNORMAL, xs, *log_moments))
-    with suppress(DegenerateSampleError):
+    # NumPy warns when the moments overflow, which needs n * w**2 near the float range; only
+    # such a sample enters errstate, which costs more than a small sample's moments
+    w = max(-lo, hi, hi - lo)
+    quiet = np.errstate(over="ignore", invalid="ignore") if w * w * x.size > 1e300 else nullcontext()
+    with suppress(DegenerateSampleError), quiet:
         moments = _mean_and_population_std(x)
         fits.append(_fit(DistributionFamily.NORMAL, xs, *moments))
         fits.append(_fit(DistributionFamily.LOGISTIC, xs, *moments))
     if not fits:
         raise DegenerateSampleError("no candidate family could be fitted")
-    return min(fits, key=attrgetter("gof"))
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF: the stdlib ``NormalDist.inv_cdf``.
-
-    That is Wichura's AS241 rational approximation (absolute error far below
-    the 1e-9 target across (0, 1)); validated in the test suite against
-    bisection on a series-summed erf.
-    """
-    if not 0.0 < p < 1.0:
-        raise InvalidPercentileError(f"percentile must lie in (0, 1), got {p}")
-    return _STD_NORMAL.inv_cdf(p)
+    return sorted(fits, key=attrgetter("gof"))
 
 
 def quantile(fit: DistributionFit, p: float) -> float:
-    """Inverse CDF of a fitted distribution at percentile ``p``."""
+    """Inverse CDF of a fitted distribution at percentile ``p``.
+
+    The standard normal quantile is the stdlib ``NormalDist.inv_cdf``, Wichura's
+    AS241 (absolute error far below 1e-9 across (0, 1)). A lognormal quantile
+    beyond the float range raises ``OverflowError``.
+    """
     if not 0.0 < p < 1.0:
         raise InvalidPercentileError(f"percentile must lie in (0, 1), got {p}")
     if fit.family is DistributionFamily.LOGISTIC:
         return fit.location + fit.scale * math.log(p / (1.0 - p))
-    z = std_normal_quantile(p) * fit.scale + fit.location
+    z = _STD_NORMAL.inv_cdf(p) * fit.scale + fit.location
     return math.exp(z) if fit.family is DistributionFamily.LOGNORMAL else z
 
 
 def adaptive_threshold(losses, p: float) -> tuple[float, DistributionFit]:
     """Threshold at percentile ``p`` of the best-fitting loss distribution.
 
-    Raises EmptyBufferError on an empty sample so callers can keep their
-    previous threshold.
+    Raises EmptyBufferError on an empty sample, and DegenerateSampleError when
+    no family fits or the threshold is not a finite float, so callers can keep
+    their previous threshold.
     """
     if np.size(losses) == 0:
         raise EmptyBufferError("cannot fit a threshold to an empty buffer")
-    fit = fit_best_distribution(losses)
-    return quantile(fit, p), fit
+    fit = fit_distributions(losses)[0]
+    with suppress(OverflowError):  # a lognormal quantile beyond the float range
+        threshold = quantile(fit, p)
+        if math.isfinite(threshold):
+            return threshold, fit
+    raise DegenerateSampleError(f"the {fit.family.value} fit's threshold at {p} is not finite")
 
 
 def pp_points(losses, fit: DistributionFit) -> np.ndarray:

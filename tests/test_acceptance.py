@@ -22,14 +22,7 @@ from anomstream.ingest import StreamRecord
 from anomstream.labels import Label
 from anomstream.metrics import roc, spauc
 from anomstream.scorer import LstmVaeScorer, ScorerConfig
-from anomstream.thresholds import (
-    DistributionFamily,
-    adaptive_threshold,
-    fit_best_distribution,
-    fit_logistic_mom,
-    fit_lognormal_mle,
-    fit_normal_mle,
-)
+from anomstream.thresholds import DistributionFamily, adaptive_threshold, fit_distributions
 
 TOY = dict(timestep=3, n_features=2, hidden_size=8, latent_size=4)
 
@@ -82,6 +75,12 @@ def numeric_normal_mle(x):
     return mu, sigma
 
 
+def family_fit(x, family):
+    """The one entry of ``family`` in ``fit_distributions(x)``."""
+    (fit,) = [f for f in fit_distributions(x) if f.family is family]
+    return fit
+
+
 def test_criterion_1_mle_matches_numeric_maximizer(criterion_report):
     start = time.time()
     root = np.random.SeedSequence(101)
@@ -90,7 +89,7 @@ def test_criterion_1_mle_matches_numeric_maximizer(criterion_report):
         rng = np.random.default_rng(ss)
         # lognormal MLE: maximize the normal likelihood of the log-values
         x = rng.lognormal(0.5, 0.3, size=1000)
-        fit = fit_lognormal_mle(x)
+        fit = family_fit(x, DistributionFamily.LOGNORMAL)
         mu_n, sigma_n = numeric_normal_mle(np.log(x))
         worst = max(
             worst,
@@ -99,7 +98,7 @@ def test_criterion_1_mle_matches_numeric_maximizer(criterion_report):
         )
         # normal MLE
         y = rng.normal(5.0, 2.0, size=1000)
-        fit = fit_normal_mle(y)
+        fit = family_fit(y, DistributionFamily.NORMAL)
         mu_n, sigma_n = numeric_normal_mle(y)
         worst = max(
             worst,
@@ -113,7 +112,7 @@ def test_criterion_1_mle_matches_numeric_maximizer(criterion_report):
     # likelihood), so it is checked against its sampling oracle instead
     rng = np.random.default_rng(404)
     z = rng.logistic(3.0, 1.5, size=5000)
-    fit = fit_logistic_mom(z)
+    fit = family_fit(z, DistributionFamily.LOGISTIC)
     assert fit.location == pytest.approx(3.0, rel=0.05)
     assert fit.scale == pytest.approx(1.5, rel=0.05)
     criterion_report(1, f"closed forms within {worst:.2e} of numeric maximizer in {elapsed:.1f}s")
@@ -161,7 +160,7 @@ def test_criterion_3_family_recovery(criterion_report):
     rates = {}
     for family, gen in cases:
         hits = sum(
-            fit_best_distribution(gen(np.random.default_rng(ss))).family is family
+            fit_distributions(gen(np.random.default_rng(ss)))[0].family is family
             for ss in root.spawn(100)
         )
         assert hits >= 95, (family, hits)

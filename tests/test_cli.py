@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,19 @@ class TestFit:
         assert main(["fit", "--csv", str(path), "--column", "loss",
                      "--percentile", "0.9"]) == 2
         assert repr(cell) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, percentile", [
+        ("1e308\n-1e308\n3", "0.5"),  # the normal's and logistic's variance overflows
+        ("1e-300\n1e300\n1e300\n5e299", "0.99"),  # the lognormal's quantile overflows
+    ])
+    def test_overflowing_fit_is_data_error(self, tmp_path, capsys, column, percentile):
+        path = tmp_path / "losses.csv"
+        path.write_text(f"loss\n{column}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--csv", str(path), "--column", "loss",
+                         "--percentile", percentile]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
 
 class TestSynth:

@@ -1,17 +1,17 @@
 """Tests for distribution fitting, KS ranking and quantile thresholds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomstream.errors import (
     DegenerateSampleError,
     EmptyBufferError,
     InvalidPercentileError,
-    NonPositiveSampleError,
 )
 from anomstream.thresholds import (
     DistributionFamily,
@@ -20,87 +20,92 @@ from anomstream.thresholds import (
     _ks_sorted,
     adaptive_threshold,
     cdf,
-    fit_best_distribution,
-    fit_logistic_mom,
-    fit_lognormal_mle,
-    fit_normal_mle,
+    fit_distributions,
     pp_points,
     quantile,
-    std_normal_quantile,
 )
 
 ALL_FAMILIES = list(DistributionFamily)
+LOGNORMAL, NORMAL, LOGISTIC = ALL_FAMILIES
 
 
 def make_fit(family, location, scale):
     return DistributionFit(family=family, location=location, scale=scale, gof=0.0)
 
 
+STD_NORMAL = make_fit(NORMAL, 0.0, 1.0)  # its quantile is z * 1 + 0, the standard normal's bits
+
+
+def family_fit(losses, family):
+    """The one entry of ``family`` in ``fit_distributions(losses)``."""
+    (fit,) = [f for f in fit_distributions(losses) if f.family is family]
+    return fit
+
+
 class TestClosedFormFits:
     def test_lognormal_two_point(self):
-        fit = fit_lognormal_mle([math.e**0, math.e**2])
-        assert fit.family is DistributionFamily.LOGNORMAL
+        fit = family_fit([math.e**0, math.e**2], LOGNORMAL)
         assert fit.location == pytest.approx(1.0, abs=1e-12)
         assert fit.scale == pytest.approx(1.0, abs=1e-12)
 
     def test_lognormal_identical_values_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            fit_lognormal_mle([math.e, math.e, math.e])
+            family_fit([math.e, math.e, math.e], LOGNORMAL)
 
     def test_lognormal_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveSampleError):
-            fit_lognormal_mle([1.0, 0.0, 2.0])
+        # a value <= 0 leaves no lognormal entry; the other families still fit
+        assert {f.family for f in fit_distributions([1.0, 0.0, 2.0])} == {NORMAL, LOGISTIC}
 
     def test_lognormal_seeded_sampling(self):
         rng = np.random.default_rng(2024)
         x = rng.lognormal(0.5, 0.3, size=1000)
-        fit = fit_lognormal_mle(x)
+        fit = family_fit(x, LOGNORMAL)
         assert fit.location == pytest.approx(0.5, abs=0.03)
         assert fit.scale == pytest.approx(0.3, abs=0.03)
 
     def test_normal_three_point(self):
-        fit = fit_normal_mle([1.0, 2.0, 3.0])
+        fit = family_fit([1.0, 2.0, 3.0], NORMAL)
         assert fit.location == pytest.approx(2.0, abs=1e-12)
         assert fit.scale == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
     def test_normal_constant_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            fit_normal_mle([4.2, 4.2])
+            family_fit([4.2, 4.2], NORMAL)
 
     def test_normal_seeded_sampling(self):
         rng = np.random.default_rng(99)
         x = rng.normal(5.0, 2.0, size=1000)
-        fit = fit_normal_mle(x)
+        fit = family_fit(x, NORMAL)
         # within 3 standard errors of each parameter
         assert abs(fit.location - 5.0) < 3 * 2.0 / math.sqrt(1000)
         assert abs(fit.scale - 2.0) < 3 * 2.0 / math.sqrt(2 * 1000)
 
     def test_logistic_two_point(self):
-        fit = fit_logistic_mom([1.0, 3.0])
+        fit = family_fit([1.0, 3.0], LOGISTIC)
         assert fit.location == pytest.approx(2.0, abs=1e-12)
         assert fit.scale == pytest.approx(math.sqrt(3.0) / math.pi, abs=1e-12)
 
     def test_logistic_constant_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            fit_logistic_mom([0.0, 0.0, 0.0])
+            family_fit([0.0, 0.0, 0.0], LOGISTIC)
 
     def test_logistic_seeded_sampling(self):
         rng = np.random.default_rng(7)
         x = rng.logistic(0.0, 1.0, size=1000)
-        fit = fit_logistic_mom(x)
+        fit = family_fit(x, LOGISTIC)
         assert abs(fit.location) < 0.05 * math.pi / math.sqrt(3)
         assert fit.scale == pytest.approx(1.0, rel=0.05)
 
     def test_too_small_sample(self):
-        for fitter in (fit_lognormal_mle, fit_normal_mle, fit_logistic_mom):
+        for family in ALL_FAMILIES:
             with pytest.raises(DegenerateSampleError):
-                fitter([1.0])
+                family_fit([1.0], family)
 
     def test_lognormal_equals_normal_of_logs_exactly(self):
         rng = np.random.default_rng(5)
         x = rng.lognormal(0.2, 0.7, size=400)
-        a = fit_lognormal_mle(x)
-        b = fit_normal_mle(np.log(x))
+        a = family_fit(x, LOGNORMAL)
+        b = family_fit(np.log(x), NORMAL)
         assert a.location == b.location
         assert a.scale == b.scale
 
@@ -121,11 +126,11 @@ class TestMleOptimality:
             rng = np.random.default_rng(ss)
             if rng.random() < 0.5:
                 x = rng.lognormal(rng.normal(), 0.2 + rng.random(), size=200)
-                fit = fit_lognormal_mle(x)
+                fit = family_fit(x, LOGNORMAL)
                 data = np.log(x)
             else:
                 x = rng.normal(rng.normal(), 0.2 + rng.random(), size=200)
-                fit = fit_normal_mle(x)
+                fit = family_fit(x, NORMAL)
                 data = x
             base = self._loglik_normal(data, fit.location, fit.scale)
             for dl in (-1e-3, 0.0, 1e-3):
@@ -152,7 +157,7 @@ class TestKsStatistic:
     def test_own_fit_is_close(self):
         rng = np.random.default_rng(12)
         x = rng.lognormal(0.0, 1.0, size=500)
-        fit = fit_lognormal_mle(x)
+        fit = family_fit(x, LOGNORMAL)
         # 0.08 is roughly the 99th percentile of the KS null at n=500
         assert fit.gof < 0.08
 
@@ -164,38 +169,40 @@ class TestKsStatistic:
         shuffled = x.copy()
         rng.shuffle(shuffled)
         # the moments may differ in the last bit with the summation order
-        assert fit_normal_mle(shuffled).gof == pytest.approx(fit_normal_mle(x).gof, rel=1e-12)
+        assert family_fit(shuffled, NORMAL).gof == pytest.approx(
+            family_fit(x, NORMAL).gof, rel=1e-12
+        )
 
 
 class TestBestDistribution:
     def test_recovers_lognormal(self):
         rng = np.random.default_rng(21)
         x = rng.lognormal(0.0, 0.8, size=2000)
-        assert fit_best_distribution(x).family is DistributionFamily.LOGNORMAL
+        assert fit_distributions(x)[0].family is LOGNORMAL
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_best_is_min_ks_fit(self, seed, positive):
-        # the selection equals a direct KS comparison of the three fits, ties
-        # to the earlier family; a mixed-sign sample has no lognormal candidate
+        # the list holds exactly the applicable families, sorted by KS with
+        # ties in family order; a mixed-sign sample has no lognormal candidate
         rng = np.random.default_rng(seed)
         if positive:
             x = rng.lognormal(rng.normal(), 0.1 + rng.random(), size=300)
         else:
             x = rng.normal(rng.normal(), 0.5 + rng.random(), size=300)
             x[0], x[1] = -abs(x[0]) - 0.1, abs(x[1]) + 0.1
-        fits = [fit_normal_mle(x), fit_logistic_mom(x)]
-        if positive:
-            fits.insert(0, fit_lognormal_mle(x))
-        assert fit_best_distribution(x) == min(fits, key=lambda f: f.gof)
+        families = [LOGNORMAL, NORMAL, LOGISTIC] if positive else [NORMAL, LOGISTIC]
+        fits = fit_distributions(x)
+        assert {f.family for f in fits} == set(families) and len(fits) == len(families)
+        assert fits == sorted(fits, key=lambda f: (f.gof, families.index(f.family)))
 
     def test_nonpositive_excludes_lognormal(self):
-        best = fit_best_distribution([-1.0, 0.0, 1.0, 2.0])
-        assert best.family in (DistributionFamily.NORMAL, DistributionFamily.LOGISTIC)
+        best = fit_distributions([-1.0, 0.0, 1.0, 2.0])[0]
+        assert best.family in (NORMAL, LOGISTIC)
 
     def test_all_constant_raises(self):
         with pytest.raises(DegenerateSampleError):
-            fit_best_distribution([2.0, 2.0, 2.0])
+            fit_distributions([2.0, 2.0, 2.0])
 
 
 class TestStdNormalQuantile:
@@ -227,17 +234,19 @@ class TestStdNormalQuantile:
             [[1e-4, 5e-4], np.linspace(0.001, 0.999, 199), [1 - 5e-4, 1 - 1e-4]]
         )
         for p in grid:
-            assert abs(std_normal_quantile(float(p)) - self._quantile_bisect(float(p))) <= 1e-9
+            assert abs(quantile(STD_NORMAL, float(p)) - self._quantile_bisect(float(p))) <= 1e-9
 
     def test_symmetry_and_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert quantile(STD_NORMAL, 0.5) == pytest.approx(0.0, abs=1e-15)
         for p in (0.01, 0.1, 0.3):
-            assert std_normal_quantile(p) == pytest.approx(-std_normal_quantile(1 - p), abs=1e-12)
+            assert quantile(STD_NORMAL, p) == pytest.approx(
+                -quantile(STD_NORMAL, 1 - p), abs=1e-12
+            )
 
     def test_rejects_bad_percentile(self):
         for p in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(InvalidPercentileError):
-                std_normal_quantile(p)
+                quantile(STD_NORMAL, p)
 
 
 class TestQuantile:
@@ -295,6 +304,23 @@ class TestAdaptiveThreshold:
         with pytest.raises(EmptyBufferError):
             adaptive_threshold([], 0.5)
 
+    @given(
+        st.lists(st.floats(1e-320, 1e308) | st.floats(-1e308, -1e-320), max_size=8),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example([1e308, -1e308, 3.0], 0.5)  # the normal's variance overflows
+    @example([1e-300, 1e300, 1e300, 5e299], 0.99)  # the lognormal's quantile overflows
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_magnitudes_finite_or_typed_error(self, losses, p):
+        # no warning, no untyped error and no non-finite threshold
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t, _ = adaptive_threshold(losses, p)
+        except (DegenerateSampleError, EmptyBufferError):
+            return
+        assert isinstance(t, float) and math.isfinite(t)
+
 
 class TestTypes:
     def test_fit_validation(self):
@@ -315,7 +341,7 @@ class TestTypes:
     def test_pp_points_shape_and_range(self):
         rng = np.random.default_rng(4)
         x = rng.lognormal(0.0, 0.5, size=100)
-        fit = fit_lognormal_mle(x)
+        fit = family_fit(x, LOGNORMAL)
         pts = pp_points(x, fit)
         assert pts.shape == (100, 2)
         assert np.all((pts >= 0.0) & (pts <= 1.0))
