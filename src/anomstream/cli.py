@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -249,10 +250,12 @@ def _run_engine(config: _RunConfig, out_dir: Path) -> dict | None:
     detector.bootstrap([r.to_stream() for r in first])
     recorder.threshold_rows.append((0, "bootstrap", detector.thresholds.t1, detector.thresholds.t2))
 
-    for part in (train, test):
-        for index, features in zip(part.index.tolist(), part.features):
-            detector.process(ingest.StreamRecord(index=index, features=features))
-            detector.maybe_retrain()
+    # one block per retrain interval: bootstrap leaves no record pending
+    records = (ingest.StreamRecord(index=index, features=features) for part in (train, test)
+               for index, features in zip(part.index.tolist(), part.features))
+    while block := list(itertools.islice(records, engine_cfg.update_interval)):
+        detector.process_block(block)
+        detector.maybe_retrain()
 
     scores = _composite_scores(recorder.verdicts)
     _write_csv(out_dir / "verdicts.csv", VERDICT_COLUMNS, (

@@ -7,8 +7,13 @@ forest. High-confidence losses feed bounded FIFO buffers from which the
 thresholds are re-fitted, and both models retrain every ``update_interval``
 samples from the interval's feature rows and pseudo-labels.
 
-The engine is a single-writer state machine: ``process`` and
-``maybe_retrain`` must be called sequentially from one thread.
+The scorer's weights change only at a retrain, so a replay hands over the
+rest of an interval at once (``process_block``): one batched call scores it,
+and ``process`` routes each record as if it had come alone.
+
+The engine is a single-writer state machine: ``process``,
+``process_block`` and ``maybe_retrain`` must be called sequentially from
+one thread.
 """
 
 from __future__ import annotations
@@ -127,8 +132,9 @@ EngineEvent = Verdict | RetrainReport | PhaseTransitionEvent
 class OnlineAnomalyDetector:
     """Two-layer online detector with self-adapting thresholds.
 
-    The engine makes three calls on its ``scorer``: ``score_many(windows)``,
-    ``score_stream(window, position)`` and ``train(windows, epochs)``, which
+    The engine makes three calls on its ``scorer``: ``score_many(windows)``
+    (``bootstrap`` and ``process_block``), ``score_stream(window, position)``
+    (``process`` of a record that comes alone) and ``train(windows, epochs)``, which
     raises ``NonFiniteError`` with the scorer unchanged when a fine-tune
     diverges; tests fuzz the state machine with a cheap stub. A scorer passed
     in counts as pretrained: ``bootstrap`` trains only the scorer the engine
@@ -156,6 +162,7 @@ class OnlineAnomalyDetector:
         self.forest: RandomForest | None = None
         self.samples_seen = 0
         self.retrains_done = 0
+        self._ahead = iter(())  # the losses process_block scored for the records it routes
         self._start_interval(np.empty((0, config.scorer.n_features)))
         self._forest_seeds = np.random.SeedSequence(config.seed)
 
@@ -223,32 +230,48 @@ class OnlineAnomalyDetector:
     # -------------------------------------------------------------- routing
 
     def _checked_features(self, record: StreamRecord) -> np.ndarray:
-        """The record's features; raises on a wrong width or a non-finite value."""
-        features = np.asarray(record.features, dtype=float)
+        """The record's features; raises on a wrong width or a non-numeric or non-finite value."""
+        try:  # a string or complex array, an object that is no real number, a ragged sequence
+            features = np.asarray(record.features)
+            if features.dtype.kind not in "biufO":
+                raise TypeError
+            features = features.astype(float, copy=False)
+        except (TypeError, ValueError):
+            raise NonFiniteError(f"record {record.index} has a feature that is not a real "
+                                 "number") from None
         width = self.config.scorer.n_features
         if features.shape != (width,):
-            raise ShapeMismatchError(f"record shape {features.shape}, expected {(width,)}")
+            raise ShapeMismatchError(
+                f"record {record.index} has shape {features.shape}, expected {(width,)}")
         if not np.isfinite(features).all():
             raise NonFiniteError(f"record {record.index} has a non-finite feature")
         return features
 
-    def process(self, record: StreamRecord) -> Verdict:
-        """Score, route and pseudo-label one record.
+    def _reserve(self, n: int) -> int:
+        """Room for ``n`` more pending records, doubling the arrays as needed; the pending count."""
+        k, capacity = self._pending, len(self._labels)
+        if k + n > capacity:
+            self._rows, self._labels, self._routes = (
+                np.concatenate([a, np.empty((max(capacity, k + n - capacity), *a.shape[1:]),
+                                            a.dtype)])
+                for a in (self._rows, self._labels, self._routes)
+            )
+        return k
 
-        A record of the wrong width or with a non-finite feature is rejected
-        before any state changes.
+    def process(self, record: StreamRecord) -> Verdict:
+        """Score, route and pseudo-label one record; ``process_block`` hands it the loss.
+
+        A record of the wrong width or with a non-numeric or non-finite
+        feature is rejected before any state changes.
         """
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
         features = self._checked_features(record)
-        k, t_steps = self._pending, self.config.scorer.timestep
-        if k == len(self._labels):  # full: double the capacity
-            self._rows, self._labels, self._routes = (
-                np.concatenate([a, np.empty((max(k, 1), *a.shape[1:]), dtype=a.dtype)])
-                for a in (self._rows, self._labels, self._routes)
-            )
+        k, t_steps = self._reserve(1), self.config.scorer.timestep
         self._rows[t_steps - 1 + k] = features
-        loss = self.scorer.score_stream(self._rows[k : t_steps + k], self.samples_seen)
+        loss = next(self._ahead, None)
+        if loss is None:
+            loss = self.scorer.score_stream(self._rows[k : t_steps + k], self.samples_seen)
         t = self.thresholds
 
         # t2 is None exactly in the single-threshold phase
@@ -278,6 +301,34 @@ class OnlineAnomalyDetector:
         self._emit(verdict)
         self.phase_transition()
         return verdict
+
+    def process_block(self, records: Sequence[StreamRecord]) -> list[Verdict]:
+        """``process`` of each record in turn, its loss scored ahead in one ``score_many`` call.
+
+        The block may not cross a retrain boundary: it holds at most
+        ``update_interval`` minus the pending records. A longer block
+        (``ValueError``), a call before ``bootstrap`` or any record that
+        ``process`` would reject refuses the whole block before any state
+        changes. The losses hold ``score_many``'s bits, which may differ from
+        ``score_stream``'s in the last places.
+        """
+        if not self.bootstrapped:
+            raise NotBootstrappedError("call bootstrap() before process_block()")
+        room = self.config.update_interval - self._pending
+        if len(records) > room:
+            raise ValueError(f"a block of {len(records)} records crosses the retrain boundary, "
+                             f"{room} records away")
+        if not records:
+            return []
+        features = [self._checked_features(record) for record in records]
+        k, t_steps = self._reserve(len(records)), self.config.scorer.timestep
+        rows = self._rows[k : t_steps - 1 + k + len(records)]
+        rows[t_steps - 1 :] = features
+        self._ahead = iter(self.scorer.score_many(make_windows(rows, t_steps)).tolist())
+        try:
+            return [self.process(record) for record in records]
+        finally:
+            self._ahead = iter(())
 
     def phase_transition(self) -> bool:
         """Switch to dual-threshold operation once abnormal losses suffice.

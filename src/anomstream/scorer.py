@@ -29,7 +29,7 @@ from .errors import (CorruptCheckpointError, NonFiniteError, ShapeMismatchError,
                      _store_floats, _store_ints)
 
 _CHECKPOINT_VERSION = 1
-_SCORE_CHUNK = 128  # windows per ``score_many`` forward pass, bounding its intermediates
+_SCORE_CHUNK = 64  # windows per ``score_many`` forward pass, bounding its intermediates
 _MAX_PARAMETERS = 10**8  # 800 MB of float64 weights, before Adam's two copies and the gradients
 
 # Parameter tensors in buffer and checkpoint order, each shape a function of
@@ -484,6 +484,19 @@ def _aligned_zeros(n: int) -> np.ndarray:
     return raw[(-raw.ctypes.data % 64) // 8 :][:n]
 
 
+# private, and faulted in by the map call itself where the platform can (Linux): on the default
+# shared map, faulted in page by page, score_many ran 9% and a fine-tune 4% slower (D=39, N=150)
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
+              if hasattr(mmap, "MAP_PRIVATE") else {})
+
+
+def _mapped(n: int) -> np.ndarray:
+    """n zeroed float64s in an anonymous map of their own, so page-aligned. A malloc'd block this
+    size is freed by raising glibc's mmap and trim thresholds, after which later blocks sat in an
+    untrimmed heap: +2-5 MB peak RSS for the BPTT workspace, +3.7-7.3 MB for the batch forward's."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n, **_MAP_FLAGS), dtype=np.float64)
+
+
 def _carve(shapes: list[tuple[int, ...]], block=_aligned_zeros) -> list[np.ndarray]:
     """Float64 arrays of ``shapes`` laid end to end in one ``block(n)`` of n floats, which starts
     on a 64-byte boundary; each array starts on one too."""
@@ -547,9 +560,7 @@ class _Workspace(NamedTuple):
         layer = [(t, 4, b, h_n), (t + 1, b, h_n), (t, b, h_n), (t, b, h_n), (b, 4 * h_n)]
         shapes = [*layer, *layer, (6, b, h_n), (2, 4, b, h_n), (2, b, 4 * h_n), (4 * h_n, h_n),
                   (2, b, 4 * h_n)]
-        # mapped, not malloc'd: glibc frees a block this size by raising its mmap and trim
-        # thresholds, after which later workspaces sat in an untrimmed heap (+2-5 MB peak RSS)
-        arrays = _carve(shapes, lambda n: np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64))
+        arrays = _carve(shapes, _mapped)
         enc, dec = _Cache(*arrays[:5]), _Cache(*arrays[5:10])
         enc.c[0] = dec.c[0] = 0.0
         arrays[14][...] = 0.5  # affine: g * 1 + 0 around the tanh, sigmoids * 1/2 + 1/2
@@ -565,12 +576,14 @@ class _Workspace(NamedTuple):
                              da=self.da[..., :b, :], affine=self.affine[:, :b], xw=self.xw[:b])
 
 
-def _derive(p, shapes: list[tuple[int, ...]]) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+def _derive(p, shapes: list[tuple[int, ...]], block=_aligned_zeros
+            ) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
     """``_FUSED_WEIGHTS``' copies from ``params`` ``p``, by name, then zeroed arrays of ``shapes``,
-    carved from one block. A copy has its gate rows reordered from (i, f, g, o) to (g, f, i, o)
-    and its sigmoid rows halved: halving is exact, so ``_cell``'s pass before ``tanh`` goes."""
+    carved from one ``block`` (``_carve``'s). A copy has its gate rows reordered from (i, f, g, o)
+    to (g, f, i, o) and its sigmoid rows halved: halving is exact, so ``_cell``'s pass before
+    ``tanh`` goes."""
     h_n = p["enc_wh"].shape[1]
-    arrays = _carve([*(p[name].shape for name in _FUSED_WEIGHTS), *shapes])
+    arrays = _carve([*(p[name].shape for name in _FUSED_WEIGHTS), *shapes], block)
     order = np.r_[2 * h_n : 3 * h_n, h_n : 2 * h_n, :h_n, 3 * h_n : 4 * h_n]
     for name, w in zip(_FUSED_WEIGHTS, arrays):
         np.take(p[name], order, axis=0, out=w)
@@ -615,8 +628,8 @@ def _slot_step(gates, h, wh_t, pre, xw, h_out) -> None:
 
 
 class _Batch(NamedTuple):
-    """The forward of ``score``, ``score_many`` and ``loss`` for up to B windows, one block a call:
-    the encoder, then the decoder, run ``_slot_step`` on one gate-major (5, B, H) state."""
+    """The forward of ``score``, ``score_many`` and ``loss`` for up to B windows, one mapped block
+    a call: the encoder, then the decoder, run ``_slot_step`` on one gate-major (5, B, H) state."""
 
     weights: dict[str, np.ndarray]  # ``_derive``'s
     xw: np.ndarray  # (B, T, 4H): the encoder's input projections
@@ -628,7 +641,7 @@ class _Batch(NamedTuple):
     def allocate(cls, scorer: LstmVaeScorer, b: int) -> "_Batch":
         t, h_n = scorer.config.timestep, scorer.config.hidden_size
         weights, (xw, z, affine, pre, hs) = _derive(scorer.params, [
-            (b, t, 4 * h_n), (5, b, h_n), (2, 4, b, h_n), (b, 4 * h_n), (t + 1, b, h_n)])
+            (b, t, 4 * h_n), (5, b, h_n), (2, 4, b, h_n), (b, 4 * h_n), (t + 1, b, h_n)], _mapped)
         return cls(weights, xw, _fused_views(z, affine), pre, hs)
 
     def rows(self, b: int) -> "_Batch":

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anomstream
-from anomstream import ingest
+from anomstream import engine as engine_mod, ingest
 from anomstream.cli import main
 from anomstream.engine import EngineConfig
 from anomstream.forest import ForestConfig
@@ -109,6 +109,27 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out2), "--mode", "adaptive"]) == 0
         for name in ("verdicts.csv", "thresholds.csv", "metrics.txt", "metrics.csv"):
             assert (out2 / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_replays_one_block_per_interval(self, tmp_path, monkeypatch):
+        # blocks run across the train/test split and end at each retrain boundary
+        sizes = []
+        real = engine_mod.OnlineAnomalyDetector.process_block
+
+        def spy(detector, records):
+            sizes.append(len(records))
+            return real(detector, records)
+
+        monkeypatch.setattr(engine_mod.OnlineAnomalyDetector, "process_block", spy)
+        config = json.loads(json.dumps(SMALL_RUN_CONFIG))
+        config["engine"]["update_interval"] = 100
+        config["stream"]["synthetic"]["n_records"] = 600
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        assert sizes == [100] * 5 + [70]
+        events = [row["event"] for row in csv.DictReader(open(out / "thresholds.csv"))]
+        assert events.count("retrain") == 5
+        assert len(list(csv.DictReader(open(out / "verdicts.csv")))) == 570
 
     def test_scorer_only_has_no_forest_checkpoint(self, run_dir, tmp_path):
         cfg = tmp_path / "config.json"

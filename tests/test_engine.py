@@ -1,5 +1,9 @@
 """Tests for the online engine: routing, buffers, phases, retraining."""
 
+import dataclasses
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,8 @@ from anomstream.errors import (
     ShapeMismatchError,
 )
 from anomstream.forest import ForestConfig
-from anomstream.ingest import StreamRecord, SyntheticConfig, synthetic_stream
+from anomstream.ingest import (StreamRecord, SyntheticConfig, fit_normalizer, normalize_records,
+                               synthetic_stream)
 from anomstream.labels import Label
 from anomstream.scorer import LstmVaeScorer, ScorerConfig
 
@@ -548,6 +553,8 @@ class TestRejectedRecords:
             (NonFiniteError, [10.0, np.inf, 10.0]),
             (ShapeMismatchError, [10.0, 10.0]),
             (ShapeMismatchError, [10.0, 10.0, 10.0, 10.0]),
+            (NonFiniteError, ["a", 10.0, 10.0]),
+            (NonFiniteError, [10.0, 1j, 10.0]),
         ]
         clean, dirty = fresh(), fresh()
         clean_verdicts, dirty_verdicts = [], []
@@ -562,6 +569,21 @@ class TestRejectedRecords:
         assert dirty.samples_seen == clean.samples_seen == 50
         assert dirty.normal_losses == clean.normal_losses
         assert dirty.abnormal_losses == clean.abnormal_losses
+
+    @pytest.mark.parametrize("features", [
+        ["a", 0.5], [0.5, "0.5"], [1j, 0.5], np.array([0.5, 2 + 0j]),
+        np.array([0.5, object()], dtype=object), [[0.5, 0.5], [0.5]],
+    ], ids=["string", "numeric-string", "complex", "complex-array", "object", "ragged"])
+    def test_non_numeric_feature_is_a_typed_error_naming_the_record(self, features):
+        engine = stub_engine(bootstrap_losses(np.random.default_rng(2)))
+        with pytest.raises(NonFiniteError, match="record 17 has a feature that is not a real"):
+            engine.process(StreamRecord(index=17, features=features))
+        first_round = records_from_losses(bootstrap_losses(np.random.default_rng(3)))
+        first_round[5] = StreamRecord(index=17, features=features)
+        with pytest.raises(NonFiniteError, match="record 17 "):
+            OnlineAnomalyDetector(engine.config, scorer=StubScorer()).bootstrap(first_round)
+        assert engine.samples_seen == 0
+        assert engine.process(StreamRecord(index=18, features=np.array([0.5, 1]))).index == 18
 
     def test_record_that_fails_to_score_changes_no_state(self):
         # a scorer whose loss overflows rejects the record; with its weights
@@ -627,6 +649,8 @@ class TestRejectedRecords:
             (NonFiniteError, [10.0, np.inf]),
             (ShapeMismatchError, [10.0]),
             (ShapeMismatchError, [10.0, 10.0, 10.0]),
+            (NonFiniteError, [10.0, "a"]),
+            (NonFiniteError, [1j, 10.0]),
         ]
         for error, features in bad:
             engine = fresh()
@@ -927,3 +951,196 @@ class TestPseudoLabelPurity:
                     wrong += 1
         assert high_conf > 0.5 * n
         assert wrong / high_conf < 0.01
+
+
+# ---------------------------------------------------------------- process_block
+
+BLOCK_FIRST = 40  # the first round, which the stream is normalised on
+BLOCK_STREAM = synthetic_stream(SyntheticConfig(
+    n_records=300, n_features=3, anomaly_rate=0.1, anomaly_burst=4, anomaly_shift=3.0, seed=3))
+BLOCK_RECORDS = [r.to_stream() for r in normalize_records(
+    BLOCK_STREAM, fit_normalizer(BLOCK_STREAM[:BLOCK_FIRST]))]
+
+
+def block_engine(sink=None):
+    """A real T=3, H=4 scorer whose 260 replayed records flip the phase inside an interval,
+    retrain six times with fine-tunes and three forest fits, and take all three routes."""
+    config = EngineConfig(
+        scorer=ScorerConfig(timestep=3, n_features=3, hidden_size=4, latent_size=2,
+                            epochs_initial=3, epochs_update=1, batch_size=8, seed=4),
+        forest=ForestConfig(n_estimators=4, max_depth=4),
+        abnormal_warmup=6,
+        update_interval=40,
+        buffer_capacity=200,
+        seed=4,
+    )
+    engine = OnlineAnomalyDetector(config, sink=sink)
+    engine.bootstrap(BLOCK_RECORDS[:BLOCK_FIRST])
+    return engine
+
+
+def event_key(event):
+    """An event's fields that a loss's last bits cannot move."""
+    if isinstance(event, Verdict):
+        return ("verdict", event.index, event.label, event.route, event.votes,
+                event.t2 is None)
+    if isinstance(event, RetrainReport):
+        return ("retrain", event.index, event.samples_seen, event.scorer_windows,
+                event.forest_samples, event.forest_trained, event.notes)
+    return ("flip", event.samples_seen)
+
+
+def event_values(event):
+    """An event's loss and thresholds, which hold a batched loss's last bits."""
+    if isinstance(event, Verdict):
+        return [event.loss, event.t1, event.t2 or 0.0]
+    if isinstance(event, RetrainReport):
+        return [event.new_t1, event.new_t2 or 0.0]
+    return [event.t2]
+
+
+@functools.cache
+def one_at_a_time():
+    """The events and the engine of the whole replay, one ``process`` call per record."""
+    events = []
+    engine = block_engine(events.append)
+    for r in BLOCK_RECORDS[BLOCK_FIRST:]:
+        engine.process(r)
+        engine.maybe_retrain()
+    return events, engine
+
+
+def engine_state(engine):
+    """Everything a refused block must leave as it was."""
+    k = engine._pending
+    return (engine.samples_seen, engine._pending, engine._normal, engine._classified,
+            list(engine.normal_losses), list(engine.abnormal_losses), engine.thresholds,
+            engine.scorer._flat.tobytes(), engine.scorer.rng.bit_generator.state,
+            engine._forest_seeds.n_children_spawned, engine.retrains_done,
+            engine._rows[: engine.config.scorer.timestep - 1 + k].tobytes(),
+            engine._labels[:k].tobytes(), engine._routes[:k].tobytes())
+
+
+class TestProcessBlock:
+    def test_reference_run_covers_every_event(self):
+        events, engine = one_at_a_time()
+        routes = {e.route for e in events if isinstance(e, Verdict)}
+        reports = [e for e in events if isinstance(e, RetrainReport)]
+        assert routes == set(Route)
+        assert [e.samples_seen for e in events if isinstance(e, PhaseTransitionEvent)] == [130]
+        assert [r.forest_trained for r in reports] == [False] * 3 + [True] * 3
+        assert sum(e.votes is not None for e in events if isinstance(e, Verdict)) == 7
+
+    @given(st.lists(st.sampled_from(["process", 1, 7, "boundary"]), min_size=1, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_route_as_single_records(self, steps):
+        # blocks of 1, 7 or up to the retrain boundary, mixed with plain process calls, give
+        # the one-at-a-time events; losses and thresholds within TestStreaming's 1e-12
+        expected, reference = one_at_a_time()
+        events = []
+        engine = block_engine(events.append)
+        records, steps = BLOCK_RECORDS[BLOCK_FIRST:], itertools.cycle(steps)
+        while records:
+            step = next(steps)
+            if step == "process":
+                returned = [engine.process(records[0])]
+            else:
+                room = engine.config.update_interval - engine._pending
+                size = room if step == "boundary" else min(step, room)
+                returned = engine.process_block(records[:size])
+            records = records[len(returned):]
+            engine.maybe_retrain()
+        assert [event_key(e) for e in events] == [event_key(e) for e in expected]
+        got = np.concatenate([event_values(e) for e in events])
+        assert got == pytest.approx(np.concatenate([event_values(e) for e in expected]),
+                                    rel=1e-12, abs=0.0)
+        assert engine.scorer._flat.tobytes() == reference.scorer._flat.tobytes()
+
+    def test_returns_the_verdicts_it_emits(self):
+        events = []
+        engine = block_engine(events.append)
+        verdicts = engine.process_block(BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 7])
+        assert [v.index for v in verdicts] == list(range(BLOCK_FIRST, BLOCK_FIRST + 7))
+        assert all(e is v for e, v in zip(events, verdicts)) and len(events) == 7
+        assert engine.process_block([]) == [] and engine.samples_seen == 7
+
+    def test_process_after_a_block_re_primes_the_stream(self):
+        # a block leaves the stream memo behind; the next process re-primes it at its
+        # position, so every loss after the block holds the one-at-a-time bits
+        config = dataclasses.replace(block_engine().config, update_interval=1000)
+        through = OnlineAnomalyDetector(config)
+        blocked = OnlineAnomalyDetector(config)
+        for engine in (through, blocked):
+            engine.bootstrap(BLOCK_RECORDS[:BLOCK_FIRST])
+        positions = spy_primes(blocked.scorer)
+        records = BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 40]
+        expected = [through.process(r) for r in records]
+        got = [blocked.process(r) for r in records[:10]]
+        got += blocked.process_block(records[10:17])
+        got += [blocked.process(r) for r in records[17:]]
+        assert positions == [0, 17]
+        assert [v.loss for v in got[:10] + got[17:]] == [
+            v.loss for v in expected[:10] + expected[17:]]
+        assert [v.loss for v in got[10:17]] == pytest.approx(
+            [v.loss for v in expected[10:17]], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("error, features", [
+        (NonFiniteError, [np.nan, 0.5, 0.5]),
+        (NonFiniteError, [0.5, np.inf, 0.5]),
+        (ShapeMismatchError, [0.5, 0.5]),
+        (NonFiniteError, ["0.5", "a", "0.5"]),
+        (NonFiniteError, [0.5, 1j, 0.5]),
+    ], ids=["nan", "inf", "width", "string", "complex"])
+    def test_bad_record_refuses_the_whole_block(self, at, error, features):
+        clean, dirty = block_engine(), block_engine()
+        for engine in (clean, dirty):
+            for r in BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 45]:
+                engine.process(r)
+                engine.maybe_retrain()
+        before = engine_state(dirty)
+        block = list(BLOCK_RECORDS[BLOCK_FIRST + 45 : BLOCK_FIRST + 52])
+        block[at] = StreamRecord(index=-7, features=features)
+        with pytest.raises(error, match="record -7"):
+            dirty.process_block(block)
+        assert engine_state(dirty) == before
+        self.assert_same_continuation(clean, dirty)
+
+    def test_long_block_and_unbootstrapped_engine_are_refused(self):
+        clean, dirty = block_engine(), block_engine()
+        for engine in (clean, dirty):
+            engine.process_block(BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 30])
+        before = engine_state(dirty)
+        with pytest.raises(ValueError, match="11 records crosses the retrain boundary, 10"):
+            dirty.process_block(BLOCK_RECORDS[BLOCK_FIRST + 30 : BLOCK_FIRST + 41])
+        assert engine_state(dirty) == before
+        self.assert_same_continuation(clean, dirty)
+        fresh = OnlineAnomalyDetector(clean.config)
+        with pytest.raises(NotBootstrappedError):
+            fresh.process_block(BLOCK_RECORDS[:3])
+        assert fresh.samples_seen == 0 and not fresh.bootstrapped
+
+    def test_block_that_fails_to_score_changes_no_state(self):
+        clean, dirty = block_engine(), block_engine()
+        for engine in (clean, dirty):
+            engine.process_block(BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 12])
+        before = engine_state(dirty)
+        out_b = dirty.scorer.params["out_b"].copy()
+        dirty.scorer.params["out_b"][:] = np.inf
+        with pytest.raises(NonFiniteError):
+            dirty.process_block(BLOCK_RECORDS[BLOCK_FIRST + 12 : BLOCK_FIRST + 19])
+        dirty.scorer.params["out_b"][:] = out_b
+        assert engine_state(dirty) == before
+        self.assert_same_continuation(clean, dirty)
+
+    @staticmethod
+    def assert_same_continuation(clean, dirty):
+        rest = BLOCK_RECORDS[BLOCK_FIRST + clean.samples_seen :]
+        verdicts = []
+        for engine in (clean, dirty):
+            room = engine.config.update_interval - engine._pending
+            verdicts.append(engine.process_block(rest[:room]))
+            engine.maybe_retrain()
+            verdicts[-1] += [engine.process(r) for r in rest[room : room + 30]]
+        assert verdicts[1] == verdicts[0]
+        assert engine_state(dirty) == engine_state(clean)

@@ -267,7 +267,7 @@ class TestForward:
 
 class TestBatchForward:
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(1, 6), st.integers(1, 40),
-           st.sampled_from([1, 127, 128, 129, 257]), st.integers(0, 2**32 - 1))
+           st.sampled_from([1, 63, 64, 65, 127, 128, 129, 257]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_view_reference_bitwise(self, t, h, l, d, n, seed):
         # score_many in chunks, with a remainder on the leading rows of its block, score and
