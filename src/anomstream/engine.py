@@ -259,19 +259,21 @@ class OnlineAnomalyDetector:
         return k
 
     def process(self, record: StreamRecord) -> Verdict:
-        """Score, route and pseudo-label one record; ``process_block`` hands it the loss.
+        """Score, route and pseudo-label one record; ``process_block`` hands it checked and scored.
 
-        A record of the wrong width or with a non-numeric or non-finite
-        feature is rejected before any state changes.
+        A record that comes alone is rejected before any state changes if it
+        has the wrong width or a non-numeric or non-finite feature.
         """
         if not self.bootstrapped:
             raise NotBootstrappedError("call bootstrap() before process()")
-        features = self._checked_features(record)
-        k, t_steps = self._reserve(1), self.config.scorer.timestep
-        self._rows[t_steps - 1 + k] = features
+        k, t_steps = self._pending, self.config.scorer.timestep
         loss = next(self._ahead, None)
-        if loss is None:
+        if loss is None:  # a record that comes alone
+            features = self._checked_features(record)
+            self._reserve(1)
+            self._rows[t_steps - 1 + k] = features
             loss = self.scorer.score_stream(self._rows[k : t_steps + k], self.samples_seen)
+        features = self._rows[t_steps - 1 + k]
         t = self.thresholds
 
         # t2 is None exactly in the single-threshold phase
@@ -303,7 +305,7 @@ class OnlineAnomalyDetector:
         return verdict
 
     def process_block(self, records: Sequence[StreamRecord]) -> list[Verdict]:
-        """``process`` of each record in turn, its loss scored ahead in one ``score_many`` call.
+        """Check and write the records, score them in one ``score_many`` call, ``process`` each.
 
         The block may not cross a retrain boundary: it holds at most
         ``update_interval`` minus the pending records. A longer block

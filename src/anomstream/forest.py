@@ -274,7 +274,7 @@ def _checked_tree(tree, n_features: int) -> dict:
     """One stored tree's columns as arrays, rejected unless every walk steps forward to a leaf."""
     try:
         columns = {name: np.asarray(tree[name], dtype=dtype) for name, dtype in _COLUMNS.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int beyond int64 too
         raise CorruptCheckpointError(f"unreadable tree columns: {exc}") from None
     feature, threshold, left, right, counts = columns.values()
     n = feature.size

@@ -84,15 +84,6 @@ class ScorerConfig:
             raise ValueError(f"the scorer geometry needs more than {_MAX_PARAMETERS} parameters")
 
 
-@dataclass(frozen=True)
-class LossValue:
-    """Scorer loss split into its reconstruction and KL components."""
-
-    total: float
-    recon: float
-    kl: float
-
-
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Latent draw z = mu + exp(logvar / 2) * noise."""
     mu = np.asarray(mu, dtype=float)
@@ -109,7 +100,7 @@ class LstmVaeScorer:
     """LSTM encoder/decoder VAE scoring windows by negative ELBO.
 
     ``params`` maps each tensor's name to its view of one float64 vector, and
-    cannot be rebound. ``score``, ``score_many`` and ``loss`` are pure.
+    cannot be rebound. ``score_many``, ``score`` and ``loss_and_gradients`` are pure.
     ``score_stream`` updates a memo of the last stream scored and ``train``
     changes the weights and re-primes that memo, so neither is thread-safe.
     The memo holds its own copies of the encoder's and decoder's weights, laid
@@ -149,11 +140,6 @@ class LstmVaeScorer:
         if not np.isfinite(rows).all():  # before any forward: the data's fault, not the weights'
             raise NonFiniteError("the window batch holds a NaN or inf")
         return x
-
-    def _batch_of_one(self, window, noise) -> tuple[np.ndarray, np.ndarray | None]:
-        """One ``window`` as a checked batch and its (1, L) noise; ``noise=None`` stays None."""
-        x = self._stack(np.asarray(window, dtype=float)[None])
-        return x, None if noise is None else np.asarray(noise, dtype=float)[None]
 
     # --------------------------------------------------------------- forward
 
@@ -217,15 +203,10 @@ class LstmVaeScorer:
             raise NonFiniteError("non-finite loss; the scorer has diverged")
         return recon, kl, (mu, logvar, z, diff, h_dec)
 
-    def loss(self, window, noise: np.ndarray | None = None) -> LossValue:
-        """Negative ELBO of one window; ``noise=None`` decodes the latent mean."""
-        x, noise = self._batch_of_one(window, noise)
-        recon, kl, _ = self._losses_batch(x, noise, _Batch.allocate(self, 1))
-        return LossValue(total=float(recon[0] + kl[0]), recon=float(recon[0]), kl=float(kl[0]))
-
     def score(self, window) -> float:
-        """Deterministic anomaly score: the loss with the latent at its mean."""
-        return self.loss(window, noise=None).total
+        """``score_many`` of one window, kept only as ``bench/tracing.py`` wraps it by name, which
+        ``tests/test_bench_targets.py`` and CI's traced bench pass check."""
+        return float(self.score_many(np.asarray(window, dtype=float)[None])[0])
 
     def score_many(self, windows: Sequence) -> np.ndarray:
         """Batched deterministic scores for a sequence of windows, in chunks of ``_SCORE_CHUNK``."""
@@ -261,7 +242,7 @@ class LstmVaeScorer:
         if not _is_int(position):  # before the memo is touched
             raise TypeError(f"position must be an integer, got {position!r}")
         position = int(position)
-        x, _ = self._batch_of_one(window, None)
+        x = self._stack(np.asarray(window, dtype=float)[None])
         head = x[0, :-1]
         stream, self._stream = self._stream, None  # invalid until the loss passes _tail's checks
         if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
@@ -370,11 +351,14 @@ class LstmVaeScorer:
         return recon, kl
 
     def loss_and_gradients(self, window, noise: np.ndarray | None = None):
-        """Loss of one window plus analytic gradients for every tensor."""
-        x, noise = self._batch_of_one(window, noise)
+        """(recon, kl, grads) of one window: the negative ELBO's two terms and the gradients of
+        their sum for every tensor. ``noise=None`` decodes the latent mean. The window is checked
+        before the noise is read."""
+        x = self._stack(np.asarray(window, dtype=float)[None])
+        noise = None if noise is None else np.asarray(noise, dtype=float)[None]
         ws = _Workspace.allocate(self, 1)
         recon, kl = self._grads_batch(x, noise, 1.0, ws)
-        return LossValue(float(recon[0] + kl[0]), float(recon[0]), float(kl[0])), ws.grads
+        return float(recon[0]), float(kl[0]), ws.grads
 
     # -------------------------------------------------------------- training
 
@@ -456,24 +440,29 @@ class LstmVaeScorer:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise CorruptCheckpointError("not a scorer checkpoint: one array, not an archive")
         with data:
-            absent = [k for k in ("format_version", "config_json", *_PARAM_SHAPES) if k not in data]
+            keys = ("format_version", "config_json", *_PARAM_SHAPES)
+            absent = [k for k in keys if k not in data]
             if absent:
                 raise CorruptCheckpointError(f"scorer checkpoint lacks {absent}")
-            version = data["format_version"].tolist()
-            if version != _CHECKPOINT_VERSION:
-                raise CorruptCheckpointError(f"unsupported checkpoint version {version!r}")
             try:
-                config = ScorerConfig(**json.loads(str(data["config_json"])))
-            except (TypeError, ValueError) as exc:  # not a JSON object, an unknown key, a bad value
-                raise CorruptCheckpointError(f"bad scorer config: {exc}") from None
-            scorer = cls(config)
-            for name, view in scorer.params.items():
-                tensor = data[name]
-                if tensor.shape != view.shape:
-                    raise ShapeMismatchError(f"checkpoint tensor {name} has shape {tensor.shape}")
-                if tensor.dtype != np.float64:
-                    raise CorruptCheckpointError(f"checkpoint tensor {name} holds {tensor.dtype}")
-                view[...] = tensor
+                entries = {k: data[k] for k in keys}
+            except (ValueError, zipfile.BadZipFile) as exc:  # an object array, a failed CRC
+                raise CorruptCheckpointError(f"unreadable scorer checkpoint entry: {exc}") from None
+        version = entries["format_version"].tolist()
+        if version != _CHECKPOINT_VERSION:
+            raise CorruptCheckpointError(f"unsupported checkpoint version {version!r}")
+        try:
+            config = ScorerConfig(**json.loads(str(entries["config_json"])))
+        except (TypeError, ValueError) as exc:  # not a JSON object, an unknown key, a bad value
+            raise CorruptCheckpointError(f"bad scorer config: {exc}") from None
+        scorer = cls(config)
+        for name, view in scorer.params.items():
+            tensor = entries[name]
+            if tensor.shape != view.shape:
+                raise CorruptCheckpointError(f"checkpoint tensor {name} has shape {tensor.shape}")
+            if tensor.dtype != np.float64:
+                raise CorruptCheckpointError(f"checkpoint tensor {name} holds {tensor.dtype}")
+            view[...] = tensor
         return scorer
 
 
@@ -628,8 +617,8 @@ def _slot_step(gates, h, wh_t, pre, xw, h_out) -> None:
 
 
 class _Batch(NamedTuple):
-    """The forward of ``score``, ``score_many`` and ``loss`` for up to B windows, one mapped block
-    a call: the encoder, then the decoder, run ``_slot_step`` on one gate-major (5, B, H) state."""
+    """The forward of ``score_many`` for up to B windows, one mapped block a call: the encoder,
+    then the decoder, run ``_slot_step`` on one gate-major (5, B, H) state."""
 
     weights: dict[str, np.ndarray]  # ``_derive``'s
     xw: np.ndarray  # (B, T, 4H): the encoder's input projections

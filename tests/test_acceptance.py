@@ -180,8 +180,8 @@ def test_criterion_4_gradient_check(criterion_report):
         scorer = LstmVaeScorer(ScorerConfig(**TOY, seed=int(rng.integers(1 << 31))))
         window = rng.normal(size=(3, 2))
         noise = rng.standard_normal(4)
-        value, grads = scorer.loss_and_gradients(window, noise)
-        assert value.kl >= 0.0
+        _, kl, grads = scorer.loss_and_gradients(window, noise)
+        assert kl >= 0.0
         for name, g in grads.items():
             fd = np.zeros_like(g)
             it = np.nditer(g, flags=["multi_index"])
@@ -189,9 +189,9 @@ def test_criterion_4_gradient_check(criterion_report):
                 idx = it.multi_index
                 orig = scorer.params[name][idx]
                 scorer.params[name][idx] = orig + h
-                up = scorer.loss(window, noise).total
+                up = sum(scorer.loss_and_gradients(window, noise)[:2])
                 scorer.params[name][idx] = orig - h
-                down = scorer.loss(window, noise).total
+                down = sum(scorer.loss_and_gradients(window, noise)[:2])
                 scorer.params[name][idx] = orig
                 fd[idx] = (up - down) / (2.0 * h)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1e-6)
@@ -211,9 +211,9 @@ def test_criterion_5_convergence(criterion_report):
         window = rng.uniform(0.2, 0.8, size=(3, 2))
         windows = [window.copy() for _ in range(50)]
         scorer = LstmVaeScorer(ScorerConfig(**TOY, seed=seed, batch_size=8))
-        initial = np.mean([scorer.loss(w).recon for w in windows])
+        initial = np.mean([scorer.loss_and_gradients(w)[0] for w in windows])
         scorer.train(windows, epochs=200)
-        final = np.mean([scorer.loss(w).recon for w in windows])
+        final = np.mean([scorer.loss_and_gradients(w)[0] for w in windows])
         ratios.append(final / initial)
         passed += final < 0.1 * initial
     assert passed >= 9

@@ -1064,6 +1064,23 @@ class TestProcessBlock:
         assert all(e is v for e, v in zip(events, verdicts)) and len(events) == 7
         assert engine.process_block([]) == [] and engine.samples_seen == 7
 
+    def test_each_record_is_checked_once(self, monkeypatch):
+        # a block of N records runs N checks, and process reads each checked row back; a
+        # record that comes alone is checked once, by process
+        engine, checked = block_engine(), []
+        check = OnlineAnomalyDetector._checked_features
+
+        def spy(self, record):
+            checked.append(record.index)
+            return check(self, record)
+
+        monkeypatch.setattr(OnlineAnomalyDetector, "_checked_features", spy)
+        records = BLOCK_RECORDS[BLOCK_FIRST : BLOCK_FIRST + 8]
+        engine.process_block(records[:7])
+        assert checked == [r.index for r in records[:7]]
+        engine.process(records[7])
+        assert checked == [r.index for r in records]
+
     def test_process_after_a_block_re_primes_the_stream(self):
         # a block leaves the stream memo behind; the next process re-primes it at its
         # position, so every loss after the block holds the one-at-a-time bits

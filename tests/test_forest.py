@@ -650,11 +650,16 @@ class TestCheckpoint:
             (lambda doc: {**doc, "config": {**doc["config"], "n_estimators": "x"}}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "max_features": True}}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "max_depth": 2.5}}, "config"),
+            (lambda doc: {**doc, "trees": [{**doc["trees"][0], "feature": [2**70, 1, -1, -1, -1]}]},
+             "tree columns"),
+            (lambda doc: {**doc, "trees": [{**doc["trees"][0], "left": [2**70, 3, -1, -1, -1]}]},
+             "tree columns"),
         ],
         ids=["list", "string", "no-trees", "no-n_features", "no-seed", "no-config",
              "trees-not-list", "str-seed", "float-seed", "config-not-object",
              "config-unknown-key", "config-zero-depth", "config-str-count",
-             "config-bool-max-features", "config-float-depth"],
+             "config-bool-max-features", "config-float-depth", "feature-past-int64",
+             "left-past-int64"],
     )
     def test_malformed_document_rejected(self, tmp_path, edit, match):
         path = tmp_path / "forest.json"

@@ -172,30 +172,32 @@ class TestForward:
     def test_zero_weights_encode(self):
         # mu = logvar = 0 is the only latent with zero KL
         s = zero_scorer()
-        assert s.loss(np.ones((3, 2)), np.ones(4)).kl == 0.0
+        assert s.loss_and_gradients(np.ones((3, 2)), np.ones(4))[1] == 0.0
 
     def test_zero_weights_decode(self):
         # a zero decoder reconstructs zeros, so recon is the window's sum of squares
         s = zero_scorer()
-        assert s.loss(np.ones((3, 2)), np.ones(4)).recon == 6.0
+        assert s.loss_and_gradients(np.ones((3, 2)), np.ones(4))[0] == 6.0
 
     def test_encode_deterministic(self):
         s = toy_scorer(seed=5)
         w = np.random.default_rng(0).normal(size=(3, 2))
-        assert s.loss(w, np.full(4, 0.3)) == s.loss(w, np.full(4, 0.3))
+        first, second = (s.loss_and_gradients(w, np.full(4, 0.3)) for _ in range(2))
+        assert first[:2] == second[:2]
+        assert all(first[2][k].tobytes() == second[2][k].tobytes() for k in first[2])
 
     def test_shape_mismatch(self):
         s = toy_scorer()
         w = np.zeros((3, 2))
         calls = [
             lambda: s.score(np.zeros((4, 2))),  # wrong T
-            lambda: s.loss(np.zeros((3, 3))),  # wrong D
+            lambda: s.loss_and_gradients(np.zeros((3, 3))),  # wrong D
             lambda: s.score(w[None]),  # a batch where one window goes
             lambda: s.score_many(w),  # a window where a batch goes
             lambda: s.score_many(np.zeros((0, 3, 2))),  # an empty batch
             lambda: s.score_many(np.zeros((2, 4, 2))),
-            lambda: s.loss(w, np.zeros(5)),  # wrong-shaped noise
-            lambda: s.loss(w, np.zeros((1, 4))),
+            lambda: s.loss_and_gradients(w, np.zeros(5)),  # wrong-shaped noise
+            lambda: s.loss_and_gradients(w, np.zeros((1, 4))),
             lambda: s.loss_and_gradients(w, np.zeros(3)),
             lambda: s.train(np.zeros((2, 3, 3)), epochs=1),
         ]
@@ -236,9 +238,9 @@ class TestForward:
         i, f, g, o = sig(a[0:2]), sig(a[2:4]), np.tanh(a[4:6]), sig(a[6:8])
         h = o * np.tanh(i * g)
         row = s.params["out_w"] @ h + s.params["out_b"]
-        value = s.loss(x, noise)
-        assert value.recon == pytest.approx(np.sum((row - x[0]) ** 2), abs=1e-12)
-        assert value.kl == pytest.approx(kl_expected, abs=1e-12)
+        recon, kl, _ = s.loss_and_gradients(x, noise)
+        assert recon == pytest.approx(np.sum((row - x[0]) ** 2), abs=1e-12)
+        assert kl == pytest.approx(kl_expected, abs=1e-12)
 
 
     @given(st.integers(1, 6), st.sampled_from([1, 2, 7]), st.integers(0, 3), st.integers(1, 9),
@@ -270,16 +272,16 @@ class TestBatchForward:
            st.sampled_from([1, 63, 64, 65, 127, 128, 129, 257]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_view_reference_bitwise(self, t, h, l, d, n, seed):
-        # score_many in chunks, with a remainder on the leading rows of its block, score and
-        # loss with noise run the fused step on derived weights; the bits are view_lstm's
+        # score_many in chunks, with a remainder on the leading rows of its block, and score
+        # run the fused step on derived weights, loss_and_gradients the training forward with
+        # noise; the bits are view_lstm's
         s = LstmVaeScorer(ScorerConfig(timestep=t, n_features=d, hidden_size=h, latent_size=l,
                                        seed=seed))
         rng = np.random.default_rng(seed)
         x, noise = rng.normal(size=(n, t, d)), rng.standard_normal(l)
         assert s.score_many(x).tobytes() == view_score_many(s, x).tobytes()
         recon, kl = view_losses(s, x[-1:], noise[None])
-        assert s.loss(x[-1], noise) == scorer_module.LossValue(
-            float(recon[0] + kl[0]), float(recon[0]), float(kl[0]))
+        assert s.loss_and_gradients(x[-1], noise)[:2] == (recon[0], kl[0])
         assert s.score(x[0]) == view_score_many(s, x[:1])[0]
 
     @pytest.mark.parametrize("h", [63, 64])
@@ -292,8 +294,7 @@ class TestBatchForward:
         x, noise = windows(rows, 30), rng.standard_normal(32)  # 257 windows
         assert s.score_many(x).tobytes() == view_score_many(s, x).tobytes()
         recon, kl = view_losses(s, x[:1], noise[None])
-        value = s.loss(x[0], noise)
-        assert (value.recon, value.kl) == (recon[0], kl[0])
+        assert s.loss_and_gradients(x[0], noise)[:2] == (recon[0], kl[0])
 
     def test_scoring_never_runs_the_training_cell(self, monkeypatch):
         def refuse(*args):
@@ -302,7 +303,7 @@ class TestBatchForward:
         s = toy_scorer(seed=3)
         w = np.random.default_rng(0).normal(size=(3, 2))
         monkeypatch.setattr(scorer_module, "_cell", refuse)
-        s.score(w), s.loss(w, np.ones(4)), s.score_many([w, w]), s.score_stream(w, 5)
+        s.score(w), s.score_many([w, w]), s.score_stream(w, 5)
         with pytest.raises(AssertionError, match="outside train"):
             s.train([w], epochs=1)
 
@@ -321,7 +322,7 @@ class TestNonFiniteWindow:
         window = rows[4:7].copy()
         window[-1, 1] = bad
         batch = np.stack([rows[:3], window])
-        calls = [lambda: s.score(window), lambda: s.loss(window, np.ones(4)),
+        calls = [lambda: s.score(window), lambda: s.loss_and_gradients(window, np.ones(5)),
                  lambda: s.score_many(batch), lambda: s.score_stream(window, 6),
                  lambda: s.train(batch, epochs=2), lambda: s.loss_and_gradients(window)]
         for call in calls:
@@ -382,42 +383,42 @@ class TestReparameterize:
 class TestLoss:
     def test_zero_everything(self):
         s = zero_scorer()
-        value = s.loss(np.zeros((3, 2)))
-        assert value.total == value.recon == value.kl == 0.0
+        recon, kl, _ = s.loss_and_gradients(np.zeros((3, 2)))
+        assert recon + kl == recon == kl == 0.0
 
     def test_kl_closed_form_unit_mu(self):
         # mu = (1, 0, ...), logvar = 0 gives KL exactly 0.5
         s = zero_scorer()
         s.params["mu_b"][...] = np.array([1.0, 0.0, 0.0, 0.0])
-        value = s.loss(np.zeros((3, 2)))
-        assert value.kl == pytest.approx(0.5, abs=1e-12)
+        assert s.loss_and_gradients(np.zeros((3, 2)))[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_total_is_recon_plus_kl(self):
         s = toy_scorer(seed=9)
         w = np.random.default_rng(1).normal(size=(3, 2))
-        value = s.loss(w, np.full(4, 0.3))
-        assert value.total == pytest.approx(value.recon + value.kl, abs=1e-12)
-        assert value.kl >= 0.0 and value.recon >= 0.0
+        recon, kl, _ = s.loss_and_gradients(w, np.full(4, 0.3))
+        ref_recon, ref_kl = view_losses(s, w[None], np.full((1, 4), 0.3))
+        assert recon + kl == pytest.approx(ref_recon[0] + ref_kl[0], abs=1e-12)
+        assert kl >= 0.0 and recon >= 0.0
 
     def test_kl_nonnegative_over_random_draws(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
             s = toy_scorer(seed=int(rng.integers(1 << 30)))
-            value = s.loss(rng.normal(size=(3, 2)), rng.standard_normal(4))
-            assert value.kl >= 0.0
+            assert s.loss_and_gradients(rng.normal(size=(3, 2)), rng.standard_normal(4))[1] >= 0.0
 
     def test_non_finite_raises(self):
         s = toy_scorer()
         s.params["out_b"][...] = np.full(2, np.inf)
         with pytest.raises(NonFiniteError):
-            s.loss(np.zeros((3, 2)))
+            s.loss_and_gradients(np.zeros((3, 2)))
 
     def test_score_equals_zero_noise_loss(self):
         # every no-noise path decodes the latent mean: the bits of explicit zero noise
         s = toy_scorer(seed=13)
         w = np.random.default_rng(3).normal(size=(3, 2))
-        expected = s.loss(w, np.zeros(4)).total
-        assert s.score(w) == s.loss(w).total == expected
+        recon, kl, _ = s.loss_and_gradients(w, np.zeros(4))
+        expected = recon + kl
+        assert s.score(w) == sum(s.loss_and_gradients(w)[:2]) == expected
         assert s.score_many([w])[0] == s.score_stream(w, position=7) == expected
 
     def test_score_many_matches_score(self):
@@ -622,7 +623,7 @@ class CellStreaming(LstmVaeScorer):
         return stream
 
     def score_stream(self, window, position):
-        x, _ = self._batch_of_one(window, None)
+        x = self._stack(np.asarray(window, dtype=float)[None])
         head = x[0, :-1]
         stream, self._stream = self._stream, None
         if stream is None or stream.position != position or not np.array_equal(stream.rows, head):
@@ -820,7 +821,7 @@ class TestWorkspace:
             losses = scorer._grads_batch(x[:b], noise, 1.0 / b, ws)
             grads.append((ws.flat.tobytes(), *(v.tobytes() for v in losses)))
         assert grads[0] == grads[1]
-        (value, got), (ref_value, want) = (m.loss_and_gradients(x[0], noise[0]) for m in (s, ref))
+        (*value, got), (*ref_value, want) = (m.loss_and_gradients(x[0], noise[0]) for m in (s, ref))
         assert value == ref_value
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         for scorer in (s, ref):
@@ -879,7 +880,7 @@ class TestGradients:
             s = toy_scorer(seed=int(rng.integers(1 << 30)))
             w = rng.normal(size=(3, 2))
             noise = rng.standard_normal(4)
-            _, grads = s.loss_and_gradients(w, noise)
+            *_, grads = s.loss_and_gradients(w, noise)
             for name, g in grads.items():
                 fd = np.zeros_like(g)
                 it = np.nditer(g, flags=["multi_index"])
@@ -887,9 +888,9 @@ class TestGradients:
                     idx = it.multi_index
                     orig = s.params[name][idx]
                     s.params[name][idx] = orig + h
-                    up = s.loss(w, noise).total
+                    up = sum(s.loss_and_gradients(w, noise)[:2])
                     s.params[name][idx] = orig - h
-                    down = s.loss(w, noise).total
+                    down = sum(s.loss_and_gradients(w, noise)[:2])
                     s.params[name][idx] = orig
                     fd[idx] = (up - down) / (2 * h)
                 denom = np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1e-6)
@@ -924,9 +925,9 @@ class TestTraining:
         window = rng.uniform(0.2, 0.8, size=(3, 2))
         windows = [window.copy() for _ in range(50)]
         s = toy_scorer(seed=1, batch_size=8)
-        initial = np.mean([s.loss(w).recon for w in windows])
+        initial = np.mean([s.loss_and_gradients(w)[0] for w in windows])
         s.train(windows, epochs=200)
-        final = np.mean([s.loss(w).recon for w in windows])
+        final = np.mean([s.loss_and_gradients(w)[0] for w in windows])
         assert final < 0.1 * initial
 
     def test_loss_not_increasing_across_runs(self):
@@ -1058,6 +1059,8 @@ class TestCheckpoint:
             ({"config_json": np.array(json.dumps({**TOY, "seed": -1}))}, "config"),
             ({"enc_b": np.array(["x"] * 32)}, "enc_b"),
             ({"out_w": np.zeros((2, 8), dtype=np.float32)}, "out_w"),
+            ({"out_w": np.zeros((3, 8))}, "out_w has shape"),
+            ({"enc_b": np.array([None] * 32, dtype=object)}, "unreadable"),
             ({"config_json": np.array(json.dumps({**TOY, "hidden_size": 8.0}))}, "config"),
             ({"config_json": np.array(json.dumps({**TOY, "hidden_size": True}))}, "config"),
             ({"config_json": np.array(json.dumps({**TOY, "epochs_update": 2.5}))}, "config"),
@@ -1065,6 +1068,7 @@ class TestCheckpoint:
         ids=["no-enc_wx", "no-out_b", "no-config", "no-version", "version-2", "version-str",
              "version-list", "config-unknown-key", "config-bad-value", "config-not-object",
              "config-not-json", "config-negative-seed", "str-tensor", "float32-tensor",
+             "wrong-shape-tensor", "object-tensor",
              "config-float-size", "config-bool-size", "config-float-count"],
     )
     def test_malformed_archive_rejected(self, tmp_path, changes, match):
@@ -1084,6 +1088,18 @@ class TestCheckpoint:
         else:
             path.write_bytes(data)
         with pytest.raises(CorruptCheckpointError, match="not a scorer checkpoint"):
+            LstmVaeScorer.load(path)
+
+    def test_damaged_entry_rejected(self, tmp_path):
+        # a flipped byte inside a stored tensor fails the archive's CRC check when it is read
+        path = tmp_path / "scorer.npz"
+        toy_scorer(seed=2).save(path)
+        data, raw = bytearray(path.read_bytes()), toy_scorer(seed=2).params["enc_wh"].tobytes()
+        at = data.find(raw)
+        assert at > 0
+        data[at + len(raw) // 2] ^= 0xFF
+        path.write_bytes(data)
+        with pytest.raises(CorruptCheckpointError, match="unreadable"):
             LstmVaeScorer.load(path)
 
     def test_bare_array_rejected(self, tmp_path):
